@@ -45,6 +45,9 @@ struct CatExpr {
   std::string Name;          ///< Kind::Id payload.
   std::vector<CatExpr> Ops;  ///< Sub-expressions.
   unsigned Line = 0;         ///< For diagnostics.
+  /// Kind::Id: index of the identifier's resolution, assigned by
+  /// CatEvaluator on its private copy of the model (unused elsewhere).
+  unsigned Ref = ~0u;
 };
 
 /// One binding of a let / let rec group.

@@ -8,8 +8,9 @@
 //
 //  1. Classification (once per CatEvaluator): every identifier occurrence
 //     is resolved to a *slot* (a let/let-rec binding instance), a *base*
-//     relation/set, or a *tag set*, SSA-style, so shadowing needs no map
-//     lookups at evaluation time. Each binding and check is then marked
+//     relation/set, or a *tag set*, SSA-style, and the occurrence records
+//     the resolution's dense index (CatExpr::Ref), so evaluation does no
+//     map lookups at all. Each binding and check is then marked
 //     stable or dynamic by a bottom-up walk: an expression is stable iff
 //     everything it references is. Two markings are kept -- one assuming
 //     only the skeleton invariants (po, threads, kinds, rmw, IW), one
@@ -22,9 +23,12 @@
 //  3. Candidate evaluation (per candidate execution): statements are
 //     walked in order; stable work is served from the layer, dynamic
 //     work (anything reachable from rf/co/fr/addr/data/ctrl) is
-//     re-evaluated. Error propagation order matches the one-shot
-//     evaluator exactly: a stable statement's error is reported at its
-//     statement position, after any earlier dynamic error.
+//     re-evaluated. Identifiers are read by reference into the layer or
+//     the evaluator-owned scratch, so no binding is copied to be read,
+//     and the scratch is reused across candidates. Error propagation
+//     order matches the one-shot evaluator exactly: a stable
+//     statement's error is reported at its statement position, after
+//     any earlier dynamic error.
 //
 //===----------------------------------------------------------------------===//
 
@@ -113,7 +117,7 @@ const std::map<std::string, unsigned> &baseNames() {
 /// Resolution of one identifier occurrence.
 struct Res {
   enum class Kind { Base, Slot, Tag } K = Kind::Tag;
-  unsigned Index = 0; ///< BaseId or slot index.
+  unsigned Index = 0; ///< BaseId, slot index, or tag index.
 };
 
 /// (stable assuming skeleton invariants, stable also assuming all-static).
@@ -132,7 +136,7 @@ struct telechat::CatStableLayer {
   std::vector<char> BaseHas;
   std::vector<CatValue> Slots;
   std::vector<char> SlotHas;
-  std::map<std::string, CatValue> Tags; ///< Materialised iff AllStatic.
+  std::vector<CatValue> Tags; ///< By tag index; materialised iff AllStatic.
   std::vector<char> CheckHolds;
   std::vector<char> CheckHas;
   std::string Error;                 ///< First stable-statement error.
@@ -145,8 +149,8 @@ struct telechat::CatStableLayer {
 };
 
 struct CatEvaluator::Impl {
-  CatModel M; ///< Owned copy: expression addresses key ResMap.
-  std::map<const CatExpr *, Res> ResMap;
+  CatModel M; ///< Owned copy: its Id nodes carry indices into Refs.
+  std::vector<Res> Refs; ///< By CatExpr::Ref.
 
   struct BindPlan {
     unsigned Slot = 0;
@@ -164,7 +168,24 @@ struct CatEvaluator::Impl {
   unsigned NumSlots = 0;
   unsigned NumChecks = 0;
 
-  explicit Impl(const CatModel &Model) : M(Model) { classify(); }
+  /// Per-candidate scratch, sized once and reset (not reallocated) by
+  /// every evaluation: bases and tag sets computed for this candidate,
+  /// dynamic binding values, and the verdict.
+  struct Scratch {
+    std::vector<CatValue> Bases;
+    std::vector<char> BaseHas;
+    std::vector<CatValue> Slots;
+    std::vector<CatValue> Tags;
+    std::vector<char> TagHas;
+    ModelVerdict Verdict;
+  } Work;
+
+  explicit Impl(const CatModel &Model) : M(Model) {
+    classify();
+    Work.Bases.resize(B_COUNT);
+    Work.Slots.resize(NumSlots);
+    Work.Tags.resize(TagNames.size());
+  }
 
   bool slotStable(unsigned Slot, bool AllStatic) const {
     return AllStatic ? SlotSt[Slot].Stat : SlotSt[Slot].Gen;
@@ -181,16 +202,16 @@ private:
     std::map<std::string, Res> Scope;
     for (const auto &[Name, B] : baseNames())
       Scope[Name] = Res{Res::Kind::Base, B};
-    std::map<std::string, bool> SeenTag;
+    std::map<std::string, unsigned> TagIndex;
 
-    for (const CatStmt &S : M.Stmts) {
+    for (CatStmt &S : M.Stmts) {
       StmtPlan P;
       switch (S.K) {
       case CatStmt::Kind::Let:
-        for (const CatBinding &B : S.Bindings) {
+        for (CatBinding &B : S.Bindings) {
           BindPlan BP;
           BP.Slot = NumSlots++;
-          BP.St = annotate(B.Body, Scope, SeenTag);
+          BP.St = annotate(B.Body, Scope, TagIndex);
           SlotSt.push_back(BP.St);
           Scope[B.Name] = Res{Res::Kind::Slot, BP.Slot};
           P.Binds.push_back(BP);
@@ -208,8 +229,8 @@ private:
           P.Binds.push_back(BP);
         }
         Stab Group;
-        for (const CatBinding &B : S.Bindings)
-          Group = Group.meet(annotate(B.Body, Scope, SeenTag));
+        for (CatBinding &B : S.Bindings)
+          Group = Group.meet(annotate(B.Body, Scope, TagIndex));
         P.GroupSt = Group;
         for (BindPlan &BP : P.Binds) {
           BP.St = Group;
@@ -219,32 +240,36 @@ private:
       }
       case CatStmt::Kind::Check:
         P.CheckIdx = NumChecks++;
-        P.CheckSt = annotate(S.Check.E, Scope, SeenTag);
+        P.CheckSt = annotate(S.Check.E, Scope, TagIndex);
         break;
       }
       Plans.push_back(std::move(P));
     }
   }
 
-  Stab annotate(const CatExpr &E, std::map<std::string, Res> &Scope,
-                std::map<std::string, bool> &SeenTag) {
+  Stab annotate(CatExpr &E, std::map<std::string, Res> &Scope,
+                std::map<std::string, unsigned> &TagIndex) {
     switch (E.K) {
     case CatExpr::Kind::Zero:
       return Stab{true, true};
     case CatExpr::Kind::Id: {
       auto It = Scope.find(E.Name);
       Res R = It != Scope.end() ? It->second : Res{Res::Kind::Tag, 0};
-      ResMap[&E] = R;
+      if (R.K == Res::Kind::Tag) {
+        auto [TagIt, New] =
+            TagIndex.emplace(E.Name, unsigned(TagNames.size()));
+        if (New)
+          TagNames.push_back(E.Name);
+        R.Index = TagIt->second;
+      }
+      E.Ref = unsigned(Refs.size());
+      Refs.push_back(R);
       switch (R.K) {
       case Res::Kind::Base:
         return Stab{baseStableGen(R.Index), baseStableStatic(R.Index)};
       case Res::Kind::Slot:
         return SlotSt[R.Index];
       case Res::Kind::Tag:
-        if (!SeenTag[E.Name]) {
-          SeenTag[E.Name] = true;
-          TagNames.push_back(E.Name);
-        }
         // Tags come from the ops of the chosen paths; only ConstWrite
         // (resolved-location dependent) can vary, and only on combos
         // with dynamic addresses.
@@ -254,8 +279,8 @@ private:
     }
     default: {
       Stab St;
-      for (const CatExpr &Op : E.Ops)
-        St = St.meet(annotate(Op, Scope, SeenTag));
+      for (CatExpr &Op : E.Ops)
+        St = St.meet(annotate(Op, Scope, TagIndex));
       return St;
     }
     }
@@ -267,17 +292,18 @@ namespace {
 /// One evaluation pass: either builds a stable layer (Building != null,
 /// visiting only stable statements) or evaluates a candidate (reading
 /// the immutable layer, recomputing dynamic statements).
+///
+/// Values flow by pointer: eval() leaves its result either in the
+/// caller's temporary or, for identifiers, points straight at the
+/// layer's or the scratch's value, so reading a binding never copies it.
 class Ctx {
 public:
-  Ctx(const CatEvaluator::Impl &I, const Execution &Ex, bool AllStatic,
+  Ctx(CatEvaluator::Impl &Impl, const Execution &Ex, bool AllStatic,
       const CatStableLayer *Stable, CatStableLayer *Building)
-      : I(I), Ex(Ex), N(Ex.size()), AllStatic(AllStatic), Stable(Stable),
-        Building(Building) {
-    LocalBases.resize(B_COUNT);
-    LocalBaseHas.assign(B_COUNT, 0);
-    if (!Building) {
-      DynSlots.resize(I.NumSlots);
-    }
+      : I(Impl), W(Impl.Work), Ex(Ex), N(Ex.size()), AllStatic(AllStatic),
+        Stable(Stable), Building(Building) {
+    W.BaseHas.assign(B_COUNT, 0);
+    W.TagHas.assign(I.TagNames.size(), 0);
   }
 
   /// Build mode: materialise every stable base, tag set, binding and
@@ -295,7 +321,7 @@ public:
         (void)base(B);
     if (AllStatic)
       for (const std::string &Tag : I.TagNames)
-        Building->Tags.emplace(Tag, CatValue::set(Ex.tagSet(Tag)));
+        Building->Tags.push_back(CatValue::set(Ex.tagSet(Tag)));
 
     for (size_t SI = 0; SI != I.Plans.size(); ++SI) {
       const CatStmt &S = I.M.Stmts[SI];
@@ -307,13 +333,11 @@ public:
         for (size_t BI = 0; BI != S.Bindings.size(); ++BI) {
           if (!stable(P.Binds[BI].St))
             continue;
-          CatValue V;
-          Err = eval(S.Bindings[BI].Body, V);
+          Err = evalBinding(S.Bindings[BI].Body, P.Binds[BI].Slot);
           if (!Err.empty()) {
             ErrBind = BI;
             break;
           }
-          setSlot(P.Binds[BI].Slot, std::move(V));
         }
         break;
       case CatStmt::Kind::LetRec:
@@ -344,8 +368,12 @@ public:
   /// the layer. A stable binding/check error recorded in the layer is
   /// reported at its exact statement *and binding* position, so any
   /// dynamic error the one-shot evaluator would hit first still wins.
-  ModelVerdict run(CatEvaluator::CacheStats &Stats) {
-    ModelVerdict V;
+  const ModelVerdict &run(CatEvaluator::CacheStats &Stats) {
+    ModelVerdict &V = W.Verdict;
+    V.Allowed = true;
+    V.FailedChecks.clear();
+    V.Flags.clear();
+    V.Error.clear();
     for (size_t SI = 0; SI != I.Plans.size(); ++SI) {
       bool ErrHere = Stable && SI == Stable->ErrorStmt;
       if (ErrHere && Stable->ErrorBind == ~size_t(0)) {
@@ -365,12 +393,12 @@ public:
             ++Stats.BindingEvalsAvoided;
             continue;
           }
-          CatValue Val;
-          if (std::string E = eval(S.Bindings[BI].Body, Val); !E.empty()) {
+          if (std::string E = evalBinding(S.Bindings[BI].Body,
+                                          P.Binds[BI].Slot);
+              !E.empty()) {
             V.Error = E;
             return V;
           }
-          setSlot(P.Binds[BI].Slot, std::move(Val));
         }
         break;
       case CatStmt::Kind::LetRec:
@@ -421,19 +449,28 @@ private:
     return AllStatic ? baseStableStatic(B) : baseStableGen(B);
   }
 
+  /// The storage of a binding: the layer being built, the layer being
+  /// read (stable slots), or the candidate's scratch.
+  CatValue &slotRef(unsigned Slot) {
+    return Building ? Building->Slots[Slot] : W.Slots[Slot];
+  }
   const CatValue &slot(unsigned Slot) {
     if (!Building && Stable && I.slotStable(Slot, AllStatic))
       return Stable->Slots[Slot];
-    return Building ? Building->Slots[Slot] : DynSlots[Slot];
+    return slotRef(Slot);
   }
 
-  void setSlot(unsigned Slot, CatValue V) {
-    if (Building) {
-      Building->Slots[Slot] = std::move(V);
+  /// Evaluates a let binding straight into its slot.
+  std::string evalBinding(const CatExpr &Body, unsigned Slot) {
+    CatValue &Dst = slotRef(Slot);
+    const CatValue *V;
+    if (std::string Err = eval(Body, Dst, V); !Err.empty())
+      return Err;
+    if (V != &Dst)
+      Dst = *V;
+    if (Building)
       Building->SlotHas[Slot] = 1;
-    } else {
-      DynSlots[Slot] = std::move(V);
-    }
+    return "";
   }
 
   const Relation &relBase(unsigned B) { return base(B).R; }
@@ -451,12 +488,12 @@ private:
         return Building->Bases[B];
       }
     }
-    if (!LocalBaseHas[B]) {
+    if (!W.BaseHas[B]) {
       CatValue V = computeBase(B);
-      LocalBases[B] = std::move(V);
-      LocalBaseHas[B] = 1;
+      W.Bases[B] = std::move(V);
+      W.BaseHas[B] = 1;
     }
-    return LocalBases[B];
+    return W.Bases[B];
   }
 
   CatValue computeBase(unsigned B) {
@@ -520,21 +557,30 @@ private:
     return CatValue();
   }
 
-  CatValue tagValue(const std::string &Name) {
-    if (AllStatic && Stable) {
-      auto It = Stable->Tags.find(Name);
-      if (It != Stable->Tags.end())
-        return It->second;
+  const CatValue &tag(unsigned Tag) {
+    if (AllStatic && Stable)
+      return Stable->Tags[Tag];
+    if (AllStatic && Building)
+      return Building->Tags[Tag];
+    if (!W.TagHas[Tag]) {
+      W.Tags[Tag] = CatValue::set(Ex.tagSet(I.TagNames[Tag]));
+      W.TagHas[Tag] = 1;
     }
-    if (Building && AllStatic) {
-      auto It = Building->Tags.find(Name);
-      if (It != Building->Tags.end())
-        return It->second;
+    return W.Tags[Tag];
+  }
+
+  /// An identifier's value, by reference.
+  const CatValue *ident(const CatExpr &E) {
+    const Res &R = I.Refs[E.Ref];
+    switch (R.K) {
+    case Res::Kind::Base:
+      return &base(R.Index);
+    case Res::Kind::Slot:
+      return &slot(R.Index);
+    case Res::Kind::Tag:
+      break;
     }
-    auto It = LocalTags.find(Name);
-    if (It == LocalTags.end())
-      It = LocalTags.emplace(Name, CatValue::set(Ex.tagSet(Name))).first;
-    return It->second;
+    return &tag(R.Index);
   }
 
   std::string err(const CatExpr &E, const std::string &Msg) {
@@ -543,30 +589,46 @@ private:
 
   /// Kleene fixpoint for let rec groups: start from empty relations,
   /// re-evaluate bodies until stable. All Cat recursions are monotone
-  /// (union/seq/inter of monotone operands), so this terminates.
+  /// (union/seq/inter of monotone operands), so this terminates. Each
+  /// body is evaluated into one reused temporary and swapped into its
+  /// slot when it grew, so iterating allocates nothing.
   std::string evalRec(const CatStmt &S,
                       const CatEvaluator::Impl::StmtPlan &P) {
-    for (const CatEvaluator::Impl::BindPlan &BP : P.Binds)
-      setSlot(BP.Slot, CatValue::rel(Relation(N)));
+    for (const CatEvaluator::Impl::BindPlan &BP : P.Binds) {
+      CatValue &Dst = slotRef(BP.Slot);
+      Dst.K = CatValue::Kind::Rel;
+      Dst.R = Relation(N);
+      if (Building)
+        Building->SlotHas[BP.Slot] = 1;
+    }
     // Each iteration adds at least one pair or stops; N^2 pairs per
     // binding bounds the iteration count.
     unsigned MaxIters = N * N * unsigned(S.Bindings.size()) + 2;
+    CatValue Tmp;
     for (unsigned Iter = 0; Iter != MaxIters; ++Iter) {
       bool Changed = false;
       for (size_t BI = 0; BI != S.Bindings.size(); ++BI) {
-        CatValue V;
-        if (std::string E = eval(S.Bindings[BI].Body, V); !E.empty())
+        const CatValue *V;
+        if (std::string E = eval(S.Bindings[BI].Body, Tmp, V); !E.empty())
           return E;
-        if (V.K == CatValue::Kind::Zero)
-          V = CatValue::rel(Relation(N));
-        if (V.K != CatValue::Kind::Rel)
+        if (V->K == CatValue::Kind::Set)
           return "let rec binding '" + S.Bindings[BI].Name +
                  "' is not a relation";
-        unsigned SlotIdx = P.Binds[BI].Slot;
-        if (!(V.R == slot(SlotIdx).R)) {
-          setSlot(SlotIdx, std::move(V));
-          Changed = true;
+        CatValue &Dst = slotRef(P.Binds[BI].Slot);
+        if (V->K == CatValue::Kind::Zero) {
+          if (!Dst.R.empty()) {
+            Dst.R.clear();
+            Changed = true;
+          }
+          continue;
         }
+        if (V->R == Dst.R)
+          continue;
+        if (V == &Tmp)
+          std::swap(Dst.R, Tmp.R);
+        else
+          Dst.R = V->R;
+        Changed = true;
       }
       if (!Changed)
         return "";
@@ -575,23 +637,24 @@ private:
   }
 
   std::string evalCheck(const CatCheck &C, bool &Holds) {
-    CatValue V;
-    if (std::string E = eval(C.E, V); !E.empty())
+    CatValue Tmp;
+    const CatValue *V;
+    if (std::string E = eval(C.E, Tmp, V); !E.empty())
       return E;
     switch (C.T) {
     case CatCheck::Test::Acyclic:
-      if (V.K == CatValue::Kind::Set)
+      if (V->K == CatValue::Kind::Set)
         return err(C.E, "acyclic requires a relation");
-      Holds = V.K == CatValue::Kind::Zero || V.R.isAcyclic();
+      Holds = V->K == CatValue::Kind::Zero || V->R.isAcyclic();
       break;
     case CatCheck::Test::Irreflexive:
-      if (V.K == CatValue::Kind::Set)
+      if (V->K == CatValue::Kind::Set)
         return err(C.E, "irreflexive requires a relation");
-      Holds = V.K == CatValue::Kind::Zero || V.R.isIrreflexive();
+      Holds = V->K == CatValue::Kind::Zero || V->R.isIrreflexive();
       break;
     case CatCheck::Test::Empty:
-      Holds = V.K == CatValue::Kind::Zero ||
-              (V.K == CatValue::Kind::Rel ? V.R.empty() : V.S.empty());
+      Holds = V->K == CatValue::Kind::Zero ||
+              (V->K == CatValue::Kind::Rel ? V->R.empty() : V->S.empty());
       break;
     }
     if (C.Negated)
@@ -599,186 +662,182 @@ private:
     return "";
   }
 
-  /// Reconciles the operand kinds of a binary set/relation operator.
-  /// Zero adapts to the other side; mixing Set and Rel is a type error.
-  std::string coerce(const CatExpr &E, CatValue &L, CatValue &R) {
-    if (L.K == CatValue::Kind::Zero && R.K == CatValue::Kind::Zero)
-      return "";
-    if (L.K == CatValue::Kind::Zero)
-      L = R.K == CatValue::Kind::Rel ? CatValue::rel(Relation(N))
-                                     : CatValue::set(Bitset(N));
-    if (R.K == CatValue::Kind::Zero)
-      R = L.K == CatValue::Kind::Rel ? CatValue::rel(Relation(N))
-                                     : CatValue::set(Bitset(N));
-    if (L.K != R.K)
-      return err(E, "operands mix a set and a relation");
-    return "";
+  /// Zero adapts to the kind of the other operand of a binary set or
+  /// relation operator: it becomes the empty value of that kind, held
+  /// in \p Tmp.
+  void adaptZero(const CatValue *&V, CatValue::Kind To, CatValue &Tmp) {
+    Tmp.K = To;
+    if (To == CatValue::Kind::Rel)
+      Tmp.R = Relation(N);
+    else
+      Tmp.S = Bitset(N);
+    V = &Tmp;
   }
 
-  std::string evalRelOperand(const CatExpr &E, CatValue &V, Relation &Out) {
-    if (V.K == CatValue::Kind::Zero) {
-      Out = Relation(N);
-      return "";
-    }
-    if (V.K != CatValue::Kind::Rel)
-      return err(E, "expected a relation");
-    Out = std::move(V.R);
-    return "";
+  /// Result slot of an operator: \p Out holds a relation over N events.
+  static const CatValue *relResult(CatValue &Out, Relation R) {
+    Out.K = CatValue::Kind::Rel;
+    Out.R = std::move(R);
+    return &Out;
   }
 
-  std::string eval(const CatExpr &E, CatValue &Out) {
+  /// Evaluates \p E. On success \p Res points at the value: \p Out for
+  /// computed expressions, the bound value itself for identifiers.
+  std::string eval(const CatExpr &E, CatValue &Out, const CatValue *&Res) {
+    Res = &Out;
     switch (E.K) {
     case CatExpr::Kind::Zero:
-      Out = CatValue();
+      Out.K = CatValue::Kind::Zero;
       return "";
-    case CatExpr::Kind::Id: {
-      auto It = I.ResMap.find(&E);
-      if (It == I.ResMap.end()) {
-        // Unreachable for expressions of the owned model; be safe.
-        Out = CatValue::set(Ex.tagSet(E.Name));
-        return "";
-      }
-      switch (It->second.K) {
-      case Res::Kind::Base:
-        Out = base(It->second.Index);
-        return "";
-      case Res::Kind::Slot:
-        Out = slot(It->second.Index);
-        return "";
-      case Res::Kind::Tag:
-        Out = tagValue(E.Name);
-        return "";
-      }
+    case CatExpr::Kind::Id:
+      Res = ident(E);
       return "";
-    }
     case CatExpr::Kind::Union:
     case CatExpr::Kind::Inter:
     case CatExpr::Kind::Diff: {
-      CatValue L, R;
-      if (std::string Err = eval(E.Ops[0], L); !Err.empty())
+      CatValue LT, RT;
+      const CatValue *L, *R;
+      if (std::string Err = eval(E.Ops[0], LT, L); !Err.empty())
         return Err;
-      if (std::string Err = eval(E.Ops[1], R); !Err.empty())
+      if (std::string Err = eval(E.Ops[1], RT, R); !Err.empty())
         return Err;
-      if (std::string Err = coerce(E, L, R); !Err.empty())
-        return Err;
-      if (L.K == CatValue::Kind::Zero) {
-        Out = CatValue();
+      if (L->K == CatValue::Kind::Zero && R->K == CatValue::Kind::Zero) {
+        Out.K = CatValue::Kind::Zero;
         return "";
       }
-      if (L.K == CatValue::Kind::Rel) {
+      if (L->K == CatValue::Kind::Zero)
+        adaptZero(L, R->K, LT);
+      if (R->K == CatValue::Kind::Zero)
+        adaptZero(R, L->K, RT);
+      if (L->K != R->K)
+        return err(E, "operands mix a set and a relation");
+      Out.K = L->K;
+      if (L->K == CatValue::Kind::Rel) {
+        Out.R = L->R;
         if (E.K == CatExpr::Kind::Union)
-          Out = CatValue::rel(L.R | R.R);
+          Out.R |= R->R;
         else if (E.K == CatExpr::Kind::Inter)
-          Out = CatValue::rel(L.R & R.R);
+          Out.R &= R->R;
         else
-          Out = CatValue::rel(L.R - R.R);
+          Out.R -= R->R;
       } else {
+        Out.S = L->S;
         if (E.K == CatExpr::Kind::Union)
-          Out = CatValue::set(L.S | R.S);
+          Out.S |= R->S;
         else if (E.K == CatExpr::Kind::Inter)
-          Out = CatValue::set(L.S & R.S);
+          Out.S &= R->S;
         else
-          Out = CatValue::set(L.S - R.S);
+          Out.S -= R->S;
       }
       return "";
     }
     case CatExpr::Kind::Seq: {
-      CatValue LV, RV;
-      if (std::string Err = eval(E.Ops[0], LV); !Err.empty())
+      CatValue LT, RT;
+      const CatValue *L, *R;
+      if (std::string Err = eval(E.Ops[0], LT, L); !Err.empty())
         return Err;
-      if (std::string Err = eval(E.Ops[1], RV); !Err.empty())
+      if (std::string Err = eval(E.Ops[1], RT, R); !Err.empty())
         return Err;
-      // Sets in a sequence act as identity filters, as in herd stdlib.
-      Relation L, R;
-      if (LV.K == CatValue::Kind::Set)
-        L = Relation::identityOn(LV.S);
-      else if (std::string Err = evalRelOperand(E, LV, L); !Err.empty())
-        return Err;
-      if (RV.K == CatValue::Kind::Set)
-        R = Relation::identityOn(RV.S);
-      else if (std::string Err = evalRelOperand(E, RV, R); !Err.empty())
-        return Err;
-      Out = CatValue::rel(L.seq(R));
+      // Sets in a sequence act as identity filters, as in herd stdlib:
+      // a set on the left masks rows, a set on the right masks columns.
+      bool LSet = L->K == CatValue::Kind::Set;
+      bool RSet = R->K == CatValue::Kind::Set;
+      if (L->K == CatValue::Kind::Zero || R->K == CatValue::Kind::Zero)
+        relResult(Out, Relation(N));
+      else if (LSet && RSet)
+        relResult(Out, Relation::identityOn(L->S & R->S));
+      else if (LSet)
+        relResult(Out, R->R.restricted(L->S, base(B_Univ).S));
+      else if (RSet)
+        relResult(Out, L->R.restricted(base(B_Univ).S, R->S));
+      else
+        relResult(Out, L->R.seq(R->R));
       return "";
     }
     case CatExpr::Kind::Cross: {
-      CatValue L, R;
-      if (std::string Err = eval(E.Ops[0], L); !Err.empty())
+      CatValue LT, RT;
+      const CatValue *L, *R;
+      if (std::string Err = eval(E.Ops[0], LT, L); !Err.empty())
         return Err;
-      if (std::string Err = eval(E.Ops[1], R); !Err.empty())
+      if (std::string Err = eval(E.Ops[1], RT, R); !Err.empty())
         return Err;
-      if (L.K == CatValue::Kind::Zero || R.K == CatValue::Kind::Zero) {
-        Out = CatValue::rel(Relation(N));
+      if (L->K == CatValue::Kind::Zero || R->K == CatValue::Kind::Zero) {
+        relResult(Out, Relation(N));
         return "";
       }
-      if (L.K != CatValue::Kind::Set || R.K != CatValue::Kind::Set)
+      if (L->K != CatValue::Kind::Set || R->K != CatValue::Kind::Set)
         return err(E, "'*' requires two sets");
-      Out = CatValue::rel(Relation::cross(L.S, R.S));
+      relResult(Out, Relation::cross(L->S, R->S));
       return "";
     }
     case CatExpr::Kind::Inverse:
     case CatExpr::Kind::Plus:
     case CatExpr::Kind::Star:
     case CatExpr::Kind::Opt: {
-      CatValue V;
-      if (std::string Err = eval(E.Ops[0], V); !Err.empty())
+      CatValue T;
+      const CatValue *V;
+      if (std::string Err = eval(E.Ops[0], T, V); !Err.empty())
         return Err;
-      Relation R;
-      if (std::string Err = evalRelOperand(E, V, R); !Err.empty())
-        return Err;
+      if (V->K == CatValue::Kind::Set)
+        return err(E, "expected a relation");
+      if (V->K == CatValue::Kind::Zero)
+        adaptZero(V, CatValue::Kind::Rel, T);
       switch (E.K) {
       case CatExpr::Kind::Inverse:
-        Out = CatValue::rel(R.inverse());
+        relResult(Out, V->R.inverse());
         break;
       case CatExpr::Kind::Plus:
-        Out = CatValue::rel(R.transitiveClosure());
+        relResult(Out, V->R.transitiveClosure());
         break;
       case CatExpr::Kind::Star:
-        Out = CatValue::rel(R.reflexiveTransitiveClosure());
+        relResult(Out, V->R.reflexiveTransitiveClosure());
         break;
       default:
-        Out = CatValue::rel(R.optional());
+        relResult(Out, V->R.optional());
         break;
       }
       return "";
     }
     case CatExpr::Kind::Bracket: {
-      CatValue V;
-      if (std::string Err = eval(E.Ops[0], V); !Err.empty())
+      CatValue T;
+      const CatValue *V;
+      if (std::string Err = eval(E.Ops[0], T, V); !Err.empty())
         return Err;
-      if (V.K == CatValue::Kind::Zero) {
-        Out = CatValue::rel(Relation(N));
+      if (V->K == CatValue::Kind::Zero) {
+        relResult(Out, Relation(N));
         return "";
       }
-      if (V.K != CatValue::Kind::Set)
+      if (V->K != CatValue::Kind::Set)
         return err(E, "'[...]' requires a set");
-      Out = CatValue::rel(Relation::identityOn(V.S));
+      relResult(Out, Relation::identityOn(V->S));
       return "";
     }
     case CatExpr::Kind::Domain:
     case CatExpr::Kind::Range: {
-      CatValue V;
-      if (std::string Err = eval(E.Ops[0], V); !Err.empty())
+      CatValue T;
+      const CatValue *V;
+      if (std::string Err = eval(E.Ops[0], T, V); !Err.empty())
         return Err;
-      Relation R;
-      if (std::string Err = evalRelOperand(E, V, R); !Err.empty())
-        return Err;
-      Out = CatValue::set(E.K == CatExpr::Kind::Domain ? R.domain()
-                                                       : R.range());
+      if (V->K == CatValue::Kind::Set)
+        return err(E, "expected a relation");
+      if (V->K == CatValue::Kind::Zero)
+        adaptZero(V, CatValue::Kind::Rel, T);
+      Out.K = CatValue::Kind::Set;
+      Out.S = E.K == CatExpr::Kind::Domain ? V->R.domain() : V->R.range();
       return "";
     }
     case CatExpr::Kind::FenceRel: {
-      CatValue V;
-      if (std::string Err = eval(E.Ops[0], V); !Err.empty())
+      CatValue T;
+      const CatValue *V;
+      if (std::string Err = eval(E.Ops[0], T, V); !Err.empty())
         return Err;
-      if (V.K == CatValue::Kind::Zero) {
-        Out = CatValue::rel(Relation(N));
+      if (V->K == CatValue::Kind::Zero) {
+        relResult(Out, Relation(N));
         return "";
       }
-      if (V.K != CatValue::Kind::Set)
+      if (V->K != CatValue::Kind::Set)
         return err(E, "fencerel requires a set");
-      Relation Id = Relation::identityOn(V.S);
-      Out = CatValue::rel(Ex.Po.seq(Id).seq(Ex.Po));
+      relResult(Out, Ex.Po.restricted(base(B_Univ).S, V->S).seq(Ex.Po));
       return "";
     }
     }
@@ -786,16 +845,12 @@ private:
   }
 
   const CatEvaluator::Impl &I;
+  CatEvaluator::Impl::Scratch &W;
   const Execution &Ex;
   unsigned N;
   bool AllStatic;
   const CatStableLayer *Stable;
   CatStableLayer *Building;
-
-  std::vector<CatValue> DynSlots; ///< Candidate mode: dynamic bindings.
-  std::vector<CatValue> LocalBases;
-  std::vector<char> LocalBaseHas;
-  std::map<std::string, CatValue> LocalTags;
 };
 
 } // namespace
@@ -819,7 +874,7 @@ void CatEvaluator::setCaching(bool Enabled) {
     Layer = nullptr;
 }
 
-ModelVerdict CatEvaluator::evaluate(const Execution &Ex) {
+const ModelVerdict &CatEvaluator::evaluate(const Execution &Ex) {
   ++Stats.Evaluations;
   if (!CachingEnabled)
     return Ctx(*P, Ex, AllStatic, nullptr, nullptr).run(Stats);

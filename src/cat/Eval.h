@@ -113,7 +113,9 @@ public:
   std::shared_ptr<const CatStableLayer> stableLayer() const { return Layer; }
 
   /// Evaluates the model on one candidate execution of the current combo.
-  ModelVerdict evaluate(const Execution &Ex);
+  /// The verdict lives in the evaluator's scratch and is overwritten by
+  /// the next call; copy it to keep it.
+  const ModelVerdict &evaluate(const Execution &Ex);
 
   /// Disables (or re-enables) the per-combo layer: with caching off,
   /// every binding and check re-evaluates per candidate -- the

@@ -17,8 +17,10 @@
 #include "litmus/Snippet.h"
 #include "sim/Backend.h"
 #include "sim/SkeletonCache.h"
+#include "support/StringUtils.h"
 #include "support/ThreadPool.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -178,7 +180,9 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
       Usage();
       return 1;
     }
-    ServerOpts.Port = uint16_t(strtoul(argv[2], nullptr, 0));
+    if (!parseFlagNumber("--serve", argv[2], uint16_t(0), uint16_t(65535),
+                         ServerOpts.Port))
+      return 2;
     I = 3;
   }
   for (; I < argc; ++I) {
@@ -192,7 +196,8 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
         Usage();
         return 1;
       }
-      SuiteLimit = unsigned(strtoul(V, nullptr, 0));
+      if (!parseFlagNumber("--limit", V, 0u, UINT32_MAX, SuiteLimit))
+        return 2;
     } else if (Arg == "--corpus" || Arg == "--suite") {
       if (!(V = Next())) {
         Usage();
@@ -227,21 +232,26 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
         return 1;
       }
       UseGen = true;
-      GenOpts.Seed = strtoull(V, nullptr, 0);
+      if (!parseFlagNumber("--gen-seed", V, uint64_t(0), UINT64_MAX,
+                           GenOpts.Seed))
+        return 2;
     } else if (Arg == "--gen-count") {
       if (!(V = Next())) {
         Usage();
         return 1;
       }
       GenExtras = true;
-      GenOpts.Count = unsigned(strtoul(V, nullptr, 0));
+      if (!parseFlagNumber("--gen-count", V, 0u, UINT32_MAX, GenOpts.Count))
+        return 2;
     } else if (Arg == "--gen-max-edges") {
       if (!(V = Next())) {
         Usage();
         return 1;
       }
       GenExtras = true;
-      GenOpts.MaxEdges = unsigned(strtoul(V, nullptr, 0));
+      if (!parseFlagNumber("--gen-max-edges", V, 0u, UINT32_MAX,
+                           GenOpts.MaxEdges))
+        return 2;
     } else if (Arg == "--materialise" || Arg == "--materialize") {
       Materialise = true;
     } else if (Arg == "--journal") {
@@ -259,7 +269,9 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
         Usage();
         return 1;
       }
-      ServerOpts.StatusPort = int(strtol(V, nullptr, 0));
+      if (!parseFlagNumber("--status-port", V, -1, 65535,
+                           ServerOpts.StatusPort))
+        return 2;
     } else if (Arg == "--profile") {
       if (!(V = Next())) {
         Usage();
@@ -294,7 +306,9 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
         Usage();
         return 1;
       }
-      Options.Sim.ExploreBudget = strtoull(V, nullptr, 0);
+      if (!parseFlagNumber("--explore-budget", V, uint64_t(0), UINT64_MAX,
+                           Options.Sim.ExploreBudget))
+        return 2;
       ConfigFlagsSet = true;
     } else if (Arg == "--no-prune") {
       Options.Sim.RfValuePruning = false;
@@ -310,14 +324,17 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
         Usage();
         return 1;
       }
-      Options.Sim.MaxSteps = strtoull(V, nullptr, 0);
+      if (!parseFlagNumber("--max-steps", V, uint64_t(1), UINT64_MAX,
+                           Options.Sim.MaxSteps))
+        return 2;
       ConfigFlagsSet = true;
     } else if (Arg == "-j" || Arg == "--jobs") {
       if (!(V = Next())) {
         Usage();
         return 1;
       }
-      Jobs = unsigned(strtoul(V, nullptr, 0));
+      if (!parseFlagNumber("-j", V, 0u, kMaxJobs, Jobs))
+        return 2;
     } else if (Arg == "--campaign-json") {
       if (!(V = Next())) {
         Usage();
@@ -341,13 +358,17 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
         Usage();
         return 1;
       }
-      ServerOpts.LeaseTimeoutSeconds = strtod(V, nullptr);
+      if (!parseFlagNumber("--lease-timeout", V, 0.001, 1e9,
+                           ServerOpts.LeaseTimeoutSeconds))
+        return 2;
     } else if (Arg == "--batch") {
       if (!(V = Next())) {
         Usage();
         return 1;
       }
-      ServerOpts.MaxUnitsPerRequest = unsigned(strtoul(V, nullptr, 0));
+      if (!parseFlagNumber("--batch", V, 0u, UINT32_MAX,
+                           ServerOpts.MaxUnitsPerRequest))
+        return 2;
     } else if (Arg == "--dedupe") {
       Dedupe = true;
     } else if (Arg == "--skel-cache") {
@@ -356,7 +377,9 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
         return 1;
       }
       SkelCacheSet = true;
-      SkelCacheCap = size_t(strtoull(V, nullptr, 0));
+      if (!parseFlagNumber("--skel-cache", V, size_t(0), SIZE_MAX,
+                           SkelCacheCap))
+        return 2;
     } else if (Arg == "--verbose") {
       Verbose = true;
     } else {

@@ -35,7 +35,8 @@ enum class CampaignCliMode {
 /// The whole campaign/serve CLI: parses argv ([2] is the port for the
 /// serve modes), builds the corpus, runs it, writes JSON artefacts and
 /// prints the summary. Returns the process exit code (2 = a pipeline
-/// campaign surfaced a compiler bug, matching single-test mode).
+/// campaign surfaced a compiler bug, matching single-test mode, or a
+/// numeric flag value was refused before anything ran).
 /// \p Usage is called on argument errors.
 int campaignToolMain(int argc, char **argv, void (*Usage)(),
                      CampaignCliMode Mode);

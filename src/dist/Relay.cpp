@@ -582,7 +582,9 @@ int telechat::relayToolMain(int argc, char **argv, void (*Usage)()) {
     return 1;
   }
   RelayOptions Opts;
-  Opts.ListenPort = uint16_t(strtoul(argv[2], nullptr, 0));
+  if (!parseFlagNumber("--relay", argv[2], uint16_t(0), uint16_t(65535),
+                       Opts.ListenPort))
+    return 2;
   if (!splitHostPort(argv[3], Opts.UpstreamHost, Opts.UpstreamPort)) {
     fprintf(stderr, "error: --relay expects <listen-port> <host:port>\n");
     return 1;
@@ -595,13 +597,18 @@ int telechat::relayToolMain(int argc, char **argv, void (*Usage)()) {
       Opts.BindAddress = V;
     } else if (Arg == "--batch" && V) {
       ++I;
-      Opts.MaxUnitsPerRequest = unsigned(strtoul(V, nullptr, 0));
+      if (!parseFlagNumber("--batch", V, 0u, UINT32_MAX,
+                           Opts.MaxUnitsPerRequest))
+        return 2;
     } else if (Arg == "--lease-timeout" && V) {
       ++I;
-      Opts.LeaseTimeoutSeconds = strtod(V, nullptr);
+      if (!parseFlagNumber("--lease-timeout", V, 0.001, 1e9,
+                           Opts.LeaseTimeoutSeconds))
+        return 2;
     } else if (Arg == "--status-port" && V) {
       ++I;
-      Opts.StatusPort = int(strtol(V, nullptr, 0));
+      if (!parseFlagNumber("--status-port", V, -1, 65535, Opts.StatusPort))
+        return 2;
     } else if (Arg == "--verbose") {
       Opts.Verbose = true;
     } else {

@@ -16,6 +16,7 @@
 #include "support/ThreadPool.h"
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -40,19 +41,25 @@ int telechat::workerToolMain(int argc, char **argv, void (*Usage)()) {
     const char *V = I + 1 < argc ? argv[I + 1] : nullptr;
     if ((Arg == "-j" || Arg == "--jobs") && V) {
       ++I;
-      Opts.Jobs = unsigned(strtoul(V, nullptr, 0));
+      if (!parseFlagNumber("-j", V, 0u, kMaxJobs, Opts.Jobs))
+        return 2;
     } else if (Arg == "--batch" && V) {
       ++I;
-      Opts.BatchSize = unsigned(strtoul(V, nullptr, 0));
+      if (!parseFlagNumber("--batch", V, 0u, UINT32_MAX, Opts.BatchSize))
+        return 2;
     } else if (Arg == "--max-units" && V) {
       ++I;
-      Opts.KillAfterResults = strtoull(V, nullptr, 0);
+      if (!parseFlagNumber("--max-units", V, uint64_t(0), UINT64_MAX,
+                           Opts.KillAfterResults))
+        return 2;
     } else if (Arg == "--skel-cache" && V) {
       ++I;
       // Per-combo artifacts shared across this worker's units
       // (sim/SkeletonCache.h); 0 (the default) disables.
-      simcore::SkeletonCache::instance().setCapacity(
-          size_t(strtoull(V, nullptr, 0)));
+      size_t Cap = 0;
+      if (!parseFlagNumber("--skel-cache", V, size_t(0), SIZE_MAX, Cap))
+        return 2;
+      simcore::SkeletonCache::instance().setCapacity(Cap);
     } else if (Arg == "--verbose") {
       Opts.Verbose = true;
     } else {

@@ -162,8 +162,9 @@ private:
   std::set<std::vector<size_t>> Tried;
 
   // --- Per-combo scaffold (schedule-invariant). ---
-  /// Static location name -> dense index; dynamic addresses get kNoLoc.
-  std::map<std::string, unsigned> LocIndex;
+  /// The worker's location index -> this combo's dense index, numbered
+  /// in first-seen order; dynamic addresses get kNoLoc.
+  std::vector<unsigned> LocRemap;
   unsigned NumLocs = 0;
   std::vector<unsigned> EvLoc;   ///< Event id -> location index.
   std::vector<bool> EvAcq;       ///< Read events: acquire-or-stronger.
@@ -180,29 +181,16 @@ private:
   std::map<unsigned, std::vector<size_t>> RelSnap;
 
   unsigned locOf(const EvInfo &E) const {
-    std::string Name =
-        E.IsInit ? E.InitLoc
-                 : (E.Op->Addr.isStatic() ? ComboWorker::staticLocOf(*E.Op)
-                                          : std::string());
-    if (Name.empty())
-      return kNoLoc;
-    auto It = LocIndex.find(Name);
-    return It == LocIndex.end() ? kNoLoc : It->second;
+    return E.Loc == kNoLoc ? kNoLoc : LocRemap[E.Loc];
   }
 
   void buildScaffold() {
-    LocIndex.clear();
-    for (const EvInfo &E : W.Events) {
-      std::string Name =
-          E.IsInit ? E.InitLoc
-                   : ((E.Kind == EventKind::Fence || !E.Op->Addr.isStatic())
-                          ? std::string()
-                          : ComboWorker::staticLocOf(*E.Op));
-      if (!Name.empty())
-        LocIndex.emplace(Name, unsigned(LocIndex.size()));
-    }
-    // emplace skips duplicates, so renumber densely in first-seen order.
-    NumLocs = unsigned(LocIndex.size());
+    // EvInfo::Loc is set exactly for init writes and static accesses.
+    LocRemap.assign(W.LocNames.size(), kNoLoc);
+    NumLocs = 0;
+    for (const EvInfo &E : W.Events)
+      if (E.Loc != kNoLoc && LocRemap[E.Loc] == kNoLoc)
+        LocRemap[E.Loc] = NumLocs++;
     const size_t N = W.Events.size();
     EvLoc.assign(N, kNoLoc);
     EvAcq.assign(N, false);

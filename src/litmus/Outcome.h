@@ -46,6 +46,9 @@ public:
   void set(const std::string &Key, Value V) { set(internSymbol(Key), V); }
   void set(Symbol Key, Value V);
 
+  /// Removes every binding (keeps the storage for reuse).
+  void clear() { Entries.clear(); }
+
   /// Value of \p Key if bound.
   std::optional<Value> lookup(const std::string &Key) const;
   std::optional<Value> lookup(Symbol Key) const;

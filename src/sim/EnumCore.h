@@ -48,19 +48,25 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 namespace telechat {
 namespace simcore {
 
+/// "No location": an event whose location is unknown or unresolved.
+constexpr unsigned kNoLoc = ~0u;
+/// "No register" / "no expression" in an OpPlan.
+constexpr unsigned kNoReg = ~0u;
+
 /// Per-event mutable state during value resolution.
 struct EvState {
-  SimVal Val;      ///< Value written (W) or read (R).
-  std::string Loc; ///< Resolved location; empty while unknown.
+  SimVal Val;             ///< Value written (W) or read (R).
+  unsigned Loc = kNoLoc;  ///< Resolved location index (ComboWorker::LocNames).
 
   bool operator==(const EvState &RHS) const {
-    return Val == RHS.Val && Loc == RHS.Loc;
+    return Loc == RHS.Loc && Val == RHS.Val;
   }
 };
 
@@ -71,7 +77,40 @@ struct EvInfo {
   EventKind Kind = EventKind::Read;
   const SimOp *Op = nullptr; ///< Null for init writes.
   bool IsInit = false;
-  std::string InitLoc; ///< Init writes: the location.
+  /// Location index (ComboWorker::LocNames) when statically known: init
+  /// writes and accesses with a static address; kNoLoc otherwise.
+  unsigned Loc = kNoLoc;
+};
+
+/// A node of an expression compiled against a register numbering (a
+/// thread's registers, or a prune check's snapshot). L and R index the
+/// owning pool, where children are stored before their parent.
+struct XNode {
+  Expr::Kind K = Expr::Kind::Imm;
+  unsigned Reg = kNoReg; ///< Kind::Reg: register index (kNoReg reads 0).
+  unsigned L = 0, R = 0; ///< Binary kinds: operand nodes.
+  Value Imm;             ///< Kind::Imm payload.
+};
+
+/// One op of a chosen path with every name resolved to an index, built
+/// once per path combo so the value fixpoint does no string work.
+struct OpPlan {
+  unsigned Ev0 = ~0u, Ev1 = ~0u; ///< Events the op emits, in order.
+  unsigned AddrReg = kNoReg;     ///< Dynamic address: base register.
+  unsigned Dst = kNoReg, Dst2 = kNoReg;
+  unsigned Val = kNoReg, ValHi = kNoReg; ///< Roots in ComboWorker::XPool.
+  /// Registers whose taint flows into the op's value (Val, plus ValHi
+  /// for stores): [UsesBegin, UsesEnd) of ComboWorker::UsePool.
+  unsigned UsesBegin = 0, UsesEnd = 0;
+  SimVal AddrOfVal; ///< AddrOf: the address constant.
+};
+
+/// A chosen path, compiled: its ops, its register count and the
+/// registers the final state observes.
+struct ThreadPlan {
+  std::vector<OpPlan> Ops;
+  unsigned NumRegs = 0;
+  std::vector<unsigned> Observed; ///< Parallel to SimThread::Observed.
 };
 
 constexpr uint64_t kFullRange = ~uint64_t(0);
@@ -247,12 +286,33 @@ public:
 
   std::map<std::string, Value> LocAddr;
 
+  /// The location table. Declared locations are interned first, in
+  /// program order (the first of equal names wins, as findLocation
+  /// does); derived "sym+off" names reached through dynamic addresses
+  /// are appended on first use. Indices are private to this worker, so
+  /// nothing order-sensitive may depend on them: coherence groups are
+  /// ordered by name.
+  std::vector<std::string> LocNames;
+  std::vector<const SimLoc *> LocDecl; ///< Null for undeclared names.
+  std::vector<SimVal> LocInit;         ///< Init-write value per location.
+  std::unordered_map<std::string, unsigned> LocIndex;
+  std::map<std::pair<unsigned, int64_t>, unsigned> DerivedLoc;
+  /// Observed locations (Prog.ObservedLocs) as indices.
+  std::vector<unsigned> ObservedLocIdx;
+
   // Per path-combo state.
   std::vector<EvInfo> Events;
   std::vector<SimPath> ResolvedStorage;
   std::vector<const SimPath *> Paths;
   /// Per thread: (op index, event id) pairs in creation order.
   std::vector<std::vector<std::pair<unsigned, unsigned>>> OpEvents;
+  std::vector<ThreadPlan> ThreadPlans;
+  std::vector<XNode> XPool;         ///< Compiled expressions of the combo.
+  std::vector<unsigned> UsePool;    ///< OpPlan use lists.
+  /// Compiled prune checks: PruneChecks[i] is rooted at CheckRoots[i]
+  /// of CheckPool, register k of its expression being its Regs[k].
+  std::vector<XNode> CheckPool;
+  std::vector<unsigned> CheckRoots;
   std::vector<unsigned> Reads;
   std::vector<unsigned> Writes;
   std::vector<unsigned> ReadIndexOf; ///< Event id -> index into Reads.
@@ -260,7 +320,7 @@ public:
   std::vector<size_t> RfChoice;
   bool AllStaticCombo = false;
   Execution SkelEx; ///< Candidate-invariant part of the execution.
-  std::map<std::string, unsigned> InitEvByLoc;
+  std::vector<unsigned> InitEvOfLoc; ///< Location index -> init event.
   // Constraint-propagation state (see computeAbstract / AbsDomain.h).
   std::vector<std::pair<unsigned, std::string>> InitWrites;
   std::vector<std::vector<AbsThreadOp>> ThreadOps;
@@ -281,14 +341,33 @@ public:
   bool ComboCacheKeyValid = false;
   std::shared_ptr<const CatStableLayer> ComboCachedLayer;
 
-  // Per rf-candidate state.
+  // Per rf-candidate state; every buffer keeps its capacity across
+  // candidates, so the candidate loop does not allocate.
   std::vector<EvState> State;
-  std::vector<std::set<unsigned>> AddrDeps, DataDeps, CtrlDeps;
+  std::vector<SimVal> Regs;     ///< Register file of the swept thread.
+  std::vector<Bitset> Taint;    ///< Per register: reads it depends on.
+  /// Register snapshot of the prune check being evaluated (see
+  /// checkSatisfied; mutable because violatedCheck is const).
+  mutable std::vector<SimVal> CheckRegs;
+  Bitset CtrlTaint;
+  std::vector<Bitset> AddrDeps, DataDeps, CtrlDeps; ///< Per event: sources.
   std::vector<std::pair<Symbol, Value>> ObservedRegs;
   /// Outcome keys, interned once per run: observed registers flattened
   /// in thread order, and observed locations in program order.
   std::vector<Symbol> ObservedRegSym, ObservedLocSym;
-  Execution CandEx; ///< Skeleton + values + rf + deps; Co set per perm.
+  /// Skeleton + values + rf + deps; Co set per permutation. Copied from
+  /// SkelEx once per combo and patched in place per candidate.
+  Execution CandEx;
+  std::vector<unsigned> CandLoc;   ///< Location index behind Events[i].Loc.
+  std::vector<char> SkelConstWrite; ///< Skeleton tag of dynamic writes.
+  std::vector<char> CandConstWrite; ///< Current tag of dynamic writes.
+  /// Coherence groups: non-init writes per written location, ordered by
+  /// location name; GroupOfLoc maps a location index to its group.
+  std::vector<std::vector<unsigned>> Groups;
+  std::vector<unsigned> GroupLoc;
+  std::vector<unsigned> GroupOfLoc;
+  size_t NumGroups = 0;
+  Outcome CandOutcome;
 
   /// The value read event \p ReadEv observes under the current RfChoice,
   /// following rf through copy and transform writes; nullopt when it
@@ -309,24 +388,47 @@ public:
   void runRfRange(uint64_t Lo, uint64_t Hi);
 
   SimPath resolveStaticAddresses(const SimPath &In) const;
-  SimVal truncAt(const std::string &Loc, SimVal V) const;
-  static std::string staticLocOf(const SimOp &Op) {
-    return SimAddr::locName(Op.Addr.Sym, Op.Addr.Off);
+  /// Interns a location name; returns its index.
+  unsigned internLoc(const std::string &Name);
+  /// The index of location "Sym+Off" (SimAddr::locName).
+  unsigned locAt(const std::string &Sym, int64_t Off);
+  /// The width rule of truncAtLoc, by location index.
+  SimVal truncAt(unsigned Loc, SimVal V) const {
+    if (Loc != kNoLoc && LocDecl[Loc] && V.K == SimVal::Kind::Int)
+      V.V = V.V.truncated(LocDecl[Loc]->Type);
+    return V;
   }
+  /// Resolves the prepared combo's registers, locations and
+  /// expressions to indices (ThreadPlans).
+  void compileCombo();
+  /// Per-combo tail shared by the computed and the cached skeleton:
+  /// init-write table, compileCombo, and the candidate execution reset
+  /// to the skeleton.
+  void finishCombo();
+  /// Compiles PruneChecks into CheckPool/CheckRoots.
+  void compileChecks();
+  /// Drops the combo's prune checks.
+  void clearChecks();
+  /// Evaluates prune check \p CI over CheckRegs (filled in the order of
+  /// PruneChecks[CI].Regs); true when the constraint has the truth value
+  /// its path needs.
+  bool checkSatisfied(size_t CI) const;
+  /// Evaluates a compiled expression over a register file.
+  static SimVal evalX(const std::vector<XNode> &Pool, unsigned Root,
+                      const SimVal *RegFile);
   void computeAbstract();
   void filterRfCandidates(bool BaselineCountOnly);
-  bool sweep(const std::vector<size_t> &RfChoice, bool *Verify);
-  unsigned rfSource(const std::vector<size_t> &RfChoice,
-                    unsigned ReadEv) const {
+  bool sweep(bool *Verify);
+  unsigned rfSource(unsigned ReadEv) const {
     unsigned RI = ReadIndexOf[ReadEv];
     return RfCand[RI][RfChoice[RI]];
   }
-  bool resolveValues(const std::vector<size_t> &RfChoice);
+  bool resolveValues();
   void buildSkeletonExecution();
   void buildCandidateExecution();
   void enumerateCo();
-  void permuteGroups(std::vector<std::vector<unsigned>> &Groups, size_t GI);
-  void checkCandidate(const std::vector<std::vector<unsigned>> &Groups);
+  void permuteGroups(size_t GI);
+  void checkCandidate();
   void collectExecution(const Execution &Ex);
 };
 

@@ -37,10 +37,16 @@
 ///    before the expensive resolution fixpoint runs.
 ///
 ///  - The *skeleton execution* (events, po, rmw, tags) is built once
-///    per combo and copied per candidate, and the Cat model's stable
-///    layer is evaluated once per combo by CatEvaluator. When several
-///    workers split one combo's rf space, the first computed layer is
-///    published through the run's shared state and adopted by the rest.
+///    per combo and patched in place per candidate, and the Cat model's
+///    stable layer is evaluated once per combo by CatEvaluator. When
+///    several workers split one combo's rf space, the first computed
+///    layer is published through the run's shared state and adopted by
+///    the rest.
+///
+///  - Registers, locations and expressions are resolved to indices once
+///    per combo (compileCombo), so the value fixpoint, the coherence
+///    groups and the outcome build work on vectors and bitsets, not on
+///    string-keyed maps, and the candidate loop does not allocate.
 ///
 /// The per-combo machinery (ComboWorker and friends) lives in
 /// sim/EnumCore.h so the constraint-solver backend (src/solve/) can
@@ -76,6 +82,40 @@ ComboWorker::ComboWorker(const SimProgram &Program, const CatModel &Model,
       ObservedRegSym.push_back(internSymbol(Key));
   for (const std::string &Loc : Prog.ObservedLocs)
     ObservedLocSym.push_back(internSymbol(Outcome::locKey(Loc)));
+  // The location table starts with the declared locations.
+  for (const SimLoc &L : Prog.Locations) {
+    unsigned Idx = internLoc(L.Name);
+    if (LocDecl[Idx])
+      continue;
+    LocDecl[Idx] = &L;
+    LocInit[Idx] = SimVal{SimVal::Kind::Int, L.Init, ""};
+  }
+  for (const std::string &Loc : Prog.ObservedLocs)
+    ObservedLocIdx.push_back(internLoc(Loc));
+}
+
+unsigned ComboWorker::internLoc(const std::string &Name) {
+  auto It = LocIndex.find(Name);
+  if (It != LocIndex.end())
+    return It->second;
+  unsigned Idx = unsigned(LocNames.size());
+  LocIndex.emplace(Name, Idx);
+  LocNames.push_back(Name);
+  LocDecl.push_back(nullptr);
+  LocInit.emplace_back();
+  return Idx;
+}
+
+unsigned ComboWorker::locAt(const std::string &Sym, int64_t Off) {
+  unsigned Base = internLoc(Sym);
+  if (Off == 0)
+    return Base;
+  auto It = DerivedLoc.find({Base, Off});
+  if (It != DerivedLoc.end())
+    return It->second;
+  unsigned Idx = internLoc(SimAddr::locName(Sym, Off));
+  DerivedLoc.emplace(std::make_pair(Base, Off), Idx);
+  return Idx;
 }
 
 void ComboWorker::processShard(const Shard &S) {
@@ -131,7 +171,7 @@ uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
     EvInfo Init;
     Init.Kind = EventKind::Write;
     Init.IsInit = true;
-    Init.InitLoc = L.Name;
+    Init.Loc = LocIndex.at(L.Name);
     Events.push_back(Init);
   }
   ResolvedStorage.clear();
@@ -152,6 +192,8 @@ uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
         E.OpIndex = I;
         E.Kind = K;
         E.Op = &Op;
+        if (K != EventKind::Fence && Op.Addr.isStatic())
+          E.Loc = locAt(Op.Addr.Sym, Op.Addr.Off);
         Events.push_back(E);
         return unsigned(Events.size() - 1);
       };
@@ -235,15 +277,12 @@ uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
     if (Opts.RfValuePruning)
       computeAbstract();
     else
-      PruneChecks.clear();
+      clearChecks();
     ComboInfeasible = CachedCombo->ComboInfeasible;
     ComboInfeasibleBaseline = CachedCombo->ComboInfeasibleBaseline;
     SkelEx = CachedCombo->SkelEx;
-    InitEvByLoc.clear();
-    for (unsigned I = 0; I != N; ++I)
-      if (Events[I].IsInit)
-        InitEvByLoc[Events[I].InitLoc] = I;
     RfSpace = CachedCombo->RfSpace;
+    finishCombo();
     return RfSpace;
   }
 
@@ -254,20 +293,11 @@ uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
   // story: optimised tests are all-static.
   RfCand.assign(Reads.size(), {});
   for (unsigned RI = 0; RI != Reads.size(); ++RI) {
-    const EvInfo &R = Events[Reads[RI]];
-    const SimAddr &RA = R.Op->Addr;
-    std::string RLoc =
-        RA.isStatic() ? SimAddr::locName(RA.Sym, RA.Off) : "";
+    unsigned RLoc = Events[Reads[RI]].Loc;
     for (unsigned W : Writes) {
-      const EvInfo &WE = Events[W];
-      if (WE.IsInit) {
-        if (RLoc.empty() || RLoc == WE.InitLoc)
-          RfCand[RI].push_back(W);
-        continue;
-      }
-      const SimAddr &WA = WE.Op->Addr;
-      if (!RLoc.empty() && WA.isStatic() &&
-          RLoc != SimAddr::locName(WA.Sym, WA.Off))
+      // Init writes always have a location; a dynamic write has none.
+      unsigned WLoc = Events[W].Loc;
+      if (RLoc != kNoLoc && WLoc != kNoLoc && RLoc != WLoc)
         continue;
       RfCand[RI].push_back(W);
     }
@@ -287,7 +317,7 @@ uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
       // already collapsed -- candidate lists.
       filterRfCandidates(/*BaselineCountOnly=*/true);
   } else {
-    PruneChecks.clear();
+    clearChecks();
     ComboInfeasible = false;
     ComboInfeasibleBaseline = false;
   }
@@ -319,7 +349,170 @@ uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
     ComboCacheEvictions =
         SkeletonCache::instance().insert(ComboCacheKey, std::move(E));
   }
+  finishCombo();
   return RfSpace;
+}
+
+void ComboWorker::finishCombo() {
+  unsigned N = Events.size();
+  InitEvOfLoc.assign(LocNames.size(), ~0u);
+  for (unsigned I = 0; I != N; ++I)
+    if (Events[I].IsInit)
+      InitEvOfLoc[Events[I].Loc] = I;
+  compileCombo();
+  // The candidate execution starts as the skeleton and is patched in
+  // place per candidate (buildCandidateExecution).
+  CandEx = SkelEx;
+  CandLoc.assign(N, kNoLoc);
+  SkelConstWrite.assign(N, 0);
+  for (unsigned I = 0; I != N; ++I)
+    SkelConstWrite[I] = SkelEx.Events[I].hasTag("ConstWrite");
+  CandConstWrite = SkelConstWrite;
+}
+
+namespace {
+
+/// Compiles \p E into \p Pool with registers numbered by \p RegOf;
+/// returns the root node.
+template <typename RegOfT>
+unsigned compileExpr(const Expr &E, std::vector<XNode> &Pool, RegOfT RegOf) {
+  XNode X;
+  X.K = E.K;
+  switch (E.K) {
+  case Expr::Kind::Imm:
+    X.Imm = E.Imm;
+    break;
+  case Expr::Kind::Reg:
+    X.Reg = RegOf(E.RegName);
+    break;
+  case Expr::Kind::Add:
+  case Expr::Kind::Sub:
+  case Expr::Kind::Xor:
+  case Expr::Kind::And:
+    X.L = compileExpr(E.Ops[0], Pool, RegOf);
+    X.R = compileExpr(E.Ops[1], Pool, RegOf);
+    break;
+  }
+  Pool.push_back(X);
+  return unsigned(Pool.size() - 1);
+}
+
+} // namespace
+
+void ComboWorker::compileCombo() {
+  XPool.clear();
+  UsePool.clear();
+  ThreadPlans.resize(Paths.size());
+  std::map<std::string, unsigned> RegIdx;
+  auto Reg = [&](const std::string &Name) {
+    return RegIdx.emplace(Name, unsigned(RegIdx.size())).first->second;
+  };
+  std::vector<std::string> Used;
+  for (unsigned T = 0; T != Paths.size(); ++T) {
+    RegIdx.clear();
+    ThreadPlan &TP = ThreadPlans[T];
+    const SimPath &Path = *Paths[T];
+    TP.Ops.assign(Path.Ops.size(), OpPlan());
+    auto EvIt = OpEvents[T].begin();
+    const auto EvEnd = OpEvents[T].end();
+    for (unsigned I = 0; I != Path.Ops.size(); ++I) {
+      const SimOp &Op = Path.Ops[I];
+      OpPlan &P = TP.Ops[I];
+      while (EvIt != EvEnd && EvIt->first == I) {
+        (P.Ev0 == ~0u ? P.Ev0 : P.Ev1) = EvIt->second;
+        ++EvIt;
+      }
+      bool Access = Op.K == SimOp::Kind::Load || Op.K == SimOp::Kind::Store ||
+                    Op.K == SimOp::Kind::Rmw;
+      if (Access && !Op.Addr.isStatic())
+        P.AddrReg = Reg(Op.Addr.Reg);
+      // Assign and AddrOf always write their destination; the access
+      // ops only when one is named (a 128-bit load writes both halves).
+      if (Op.K == SimOp::Kind::Assign || Op.K == SimOp::Kind::AddrOf ||
+          (Access && !Op.Dst.empty()))
+        P.Dst = Reg(Op.Dst);
+      if (Op.K == SimOp::Kind::Load && Op.Is128 && !Op.Dst.empty())
+        P.Dst2 = Reg(Op.Dst2);
+      bool HasVal = Op.K == SimOp::Kind::Assign ||
+                    Op.K == SimOp::Kind::Constraint ||
+                    Op.K == SimOp::Kind::Store || Op.K == SimOp::Kind::Rmw;
+      if (HasVal) {
+        P.Val = compileExpr(Op.Val, XPool, Reg);
+        if (Op.K == SimOp::Kind::Store && Op.Is128)
+          P.ValHi = compileExpr(Op.ValHi, XPool, Reg);
+        Used.clear();
+        Op.Val.collectRegs(Used);
+        if (Op.K == SimOp::Kind::Store)
+          Op.ValHi.collectRegs(Used);
+        P.UsesBegin = unsigned(UsePool.size());
+        for (const std::string &U : Used)
+          UsePool.push_back(Reg(U));
+        P.UsesEnd = unsigned(UsePool.size());
+      }
+      if (Op.K == SimOp::Kind::AddrOf) {
+        auto It = LocAddr.find(Op.Sym);
+        // An unknown symbol leaves the Int default; sweep() then
+        // reports it through LocAddr.at.
+        if (It != LocAddr.end())
+          P.AddrOfVal = SimVal{SimVal::Kind::Addr, It->second, Op.Sym};
+      }
+    }
+    TP.Observed.clear();
+    for (const auto &[R, Key] : Prog.Threads[T].Observed) {
+      (void)Key;
+      TP.Observed.push_back(Reg(R));
+    }
+    TP.NumRegs = unsigned(RegIdx.size());
+  }
+}
+
+void ComboWorker::clearChecks() {
+  PruneChecks.clear();
+  CheckPool.clear();
+  CheckRoots.clear();
+}
+
+void ComboWorker::compileChecks() {
+  // Prune checks read their own register snapshot; a name the snapshot
+  // lacks reads as zero, and a repeated name reads its last entry.
+  CheckPool.clear();
+  CheckRoots.resize(PruneChecks.size());
+  std::map<std::string, unsigned> RegIdx;
+  for (size_t CI = 0; CI != PruneChecks.size(); ++CI) {
+    const PruneCheck &PC = PruneChecks[CI];
+    RegIdx.clear();
+    for (size_t K = 0; K != PC.Regs.size(); ++K)
+      RegIdx[PC.Regs[K].first] = unsigned(K);
+    CheckRoots[CI] =
+        compileExpr(*PC.E, CheckPool, [&](const std::string &Name) {
+          auto It = RegIdx.find(Name);
+          return It == RegIdx.end() ? kNoReg : It->second;
+        });
+  }
+}
+
+bool ComboWorker::checkSatisfied(size_t CI) const {
+  SimVal C = evalX(CheckPool, CheckRoots[CI], CheckRegs.data());
+  bool NonZero = !C.V.isZero() || C.K == SimVal::Kind::Addr;
+  return NonZero == PruneChecks[CI].ExpectNonZero;
+}
+
+SimVal ComboWorker::evalX(const std::vector<XNode> &Pool, unsigned Root,
+                          const SimVal *RegFile) {
+  const XNode &X = Pool[Root];
+  switch (X.K) {
+  case Expr::Kind::Imm:
+    return SimVal{SimVal::Kind::Int, X.Imm, ""};
+  case Expr::Kind::Reg:
+    return X.Reg == kNoReg ? SimVal{} : RegFile[X.Reg];
+  case Expr::Kind::Add:
+  case Expr::Kind::Sub:
+  case Expr::Kind::Xor:
+  case Expr::Kind::And:
+    break;
+  }
+  return combineSimVals(X.K, evalX(Pool, X.L, RegFile),
+                        evalX(Pool, X.R, RegFile));
 }
 
 bool ComboWorker::budget() {
@@ -417,7 +610,7 @@ void ComboWorker::runRfRange(uint64_t Lo, uint64_t Hi) {
 
 void ComboWorker::runAssignment() {
   ++WR.Stats.RfCandidates;
-  if (resolveValues(RfChoice)) {
+  if (resolveValues()) {
     ++WR.Stats.ValueConsistent;
     buildCandidateExecution();
     enumerateCo();
@@ -500,14 +693,6 @@ SimPath ComboWorker::resolveStaticAddresses(const SimPath &In) const {
   return Out;
 }
 
-/// The value-resolution width rule: values stored to / loaded from a
-/// location truncate to its declared type. Shared verbatim (via
-/// truncAtLoc) by the fixpoint sweep and the abstract machinery so
-/// both see identical values.
-SimVal ComboWorker::truncAt(const std::string &Loc, SimVal V) const {
-  return truncAtLoc(Prog, Loc, std::move(V));
-}
-
 /// Runs the abstract value pass (sim/AbsDomain.h) over the prepared
 /// combo, recording per write event what it stores (EvAbs) and which
 /// path constraints are checkable without the fixpoint (PruneChecks /
@@ -519,7 +704,7 @@ void ComboWorker::computeAbstract() {
   InitWrites.clear();
   for (unsigned I = 0; I != Events.size(); ++I)
     if (Events[I].IsInit)
-      InitWrites.emplace_back(I, Events[I].InitLoc);
+      InitWrites.emplace_back(I, LocNames[Events[I].Loc]);
   ThreadOps.resize(Paths.size());
   for (unsigned T = 0; T != Paths.size(); ++T) {
     auto EvIt = OpEvents[T].begin();
@@ -541,6 +726,7 @@ void ComboWorker::computeAbstract() {
              Opts.RfTransformDomain);
   EvAbs = Interp.takeEvAbs();
   PruneChecks = Interp.takeChecks();
+  compileChecks();
   ComboInfeasible = Interp.infeasible();
   ComboInfeasibleBaseline = Interp.infeasibleForBaseline();
 }
@@ -560,9 +746,9 @@ void ComboWorker::filterRfCandidates(bool BaselineCountOnly) {
     const EvInfo &R = Events[ReadEv];
     if (!R.Op->Addr.isStatic())
       continue; // Unknown width: values are not comparable yet.
-    std::string RLoc = staticLocOf(*R.Op);
-    std::vector<const PruneCheck *> Relevant;
-    for (const PruneCheck &PC : PruneChecks) {
+    std::vector<size_t> Relevant;
+    for (size_t CI = 0; CI != PruneChecks.size(); ++CI) {
+      const PruneCheck &PC = PruneChecks[CI];
       bool Mine = false, OthersKnown = true;
       for (const auto &[Reg, A] : PC.Regs) {
         if (A.K == AbsVal::Kind::Known)
@@ -573,7 +759,7 @@ void ComboWorker::filterRfCandidates(bool BaselineCountOnly) {
           OthersKnown = false;
       }
       if (Mine && OthersKnown)
-        Relevant.push_back(&PC);
+        Relevant.push_back(CI);
     }
     if (Relevant.empty())
       continue;
@@ -583,7 +769,7 @@ void ComboWorker::filterRfCandidates(bool BaselineCountOnly) {
         Kept.push_back(W);
         continue;
       }
-      SimVal RV = truncAt(RLoc, EvAbs[W].V);
+      SimVal RV = truncAt(R.Loc, EvAbs[W].V);
       // Evaluate every relevant check (not just until the first hit)
       // so the prune can be attributed: a violation is what the
       // copy-chain-only domain (RfTransformDomain off) would also
@@ -593,25 +779,25 @@ void ComboWorker::filterRfCandidates(bool BaselineCountOnly) {
       // candidate write's own value is baseline-known too; anything
       // else is the symbolic domain's own win.
       bool Violated = false, ViolatedByCopy = false;
-      for (const PruneCheck *PC : Relevant) {
-        std::map<std::string, SimVal> Regs;
+      for (size_t CI : Relevant) {
+        const PruneCheck &PC = PruneChecks[CI];
         bool CopyOnly = !EvAbs[W].Folded;
-        for (const auto &[Reg, A] : PC->Regs) {
+        CheckRegs.resize(PC.Regs.size());
+        for (size_t K = 0; K != PC.Regs.size(); ++K) {
+          const AbsVal &A = PC.Regs[K].second;
           if (A.K == AbsVal::Kind::Known) {
             if (A.Folded)
               CopyOnly = false;
-            Regs[Reg] = A.V;
+            CheckRegs[K] = A.V;
             continue;
           }
           if (!A.isIdentityCopy())
             CopyOnly = false;
-          Regs[Reg] = A.apply(RV);
+          CheckRegs[K] = A.apply(RV);
         }
         if (BaselineCountOnly && !CopyOnly)
           continue; // The baseline never captured this check.
-        SimVal C = evalSimExpr(*PC->E, Regs);
-        bool NonZero = !C.V.isZero() || C.K == SimVal::Kind::Addr;
-        if (NonZero != PC->ExpectNonZero) {
+        if (!checkSatisfied(CI)) {
           Violated = true;
           ViolatedByCopy |= CopyOnly;
         }
@@ -645,7 +831,7 @@ ComboWorker::resolveReadAbs(unsigned ReadEv, unsigned Depth,
     return std::nullopt;
   if (Support)
     Support->emplace_back(RI, unsigned(Choice));
-  return truncAt(staticLocOf(*R.Op), std::move(*V));
+  return truncAt(R.Loc, std::move(*V));
 }
 
 std::optional<SimVal>
@@ -672,13 +858,15 @@ bool ComboWorker::violatedCheck(SupportVec *Support) const {
     return true;
   }
   SupportVec Scratch;
-  for (const PruneCheck &PC : PruneChecks) {
-    std::map<std::string, SimVal> Regs;
+  for (size_t CI = 0; CI != PruneChecks.size(); ++CI) {
+    const PruneCheck &PC = PruneChecks[CI];
     bool Resolvable = true;
     Scratch.clear();
-    for (const auto &[Reg, A] : PC.Regs) {
+    CheckRegs.resize(PC.Regs.size());
+    for (size_t K = 0; K != PC.Regs.size(); ++K) {
+      const AbsVal &A = PC.Regs[K].second;
       if (A.K == AbsVal::Kind::Known) {
-        Regs[Reg] = A.V;
+        CheckRegs[K] = A.V;
         continue;
       }
       std::optional<SimVal> V =
@@ -687,13 +875,11 @@ bool ComboWorker::violatedCheck(SupportVec *Support) const {
         Resolvable = false;
         break;
       }
-      Regs[Reg] = A.apply(*V);
+      CheckRegs[K] = A.apply(*V);
     }
     if (!Resolvable)
       continue;
-    SimVal C = evalSimExpr(*PC.E, Regs);
-    bool NonZero = !C.V.isZero() || C.K == SimVal::Kind::Addr;
-    if (NonZero != PC.ExpectNonZero) {
+    if (!checkSatisfied(CI)) {
       if (Support) {
         // Several registers may resolve through the same read: dedup so
         // the learned nogood has distinct literals.
@@ -711,169 +897,158 @@ bool ComboWorker::violatedCheck(SupportVec *Support) const {
 /// One evaluation sweep over all threads. Returns true if any event
 /// state changed. When \p Verify is non-null, also checks constraints /
 /// address resolution / rf location agreement, computes dependency
-/// taints and records observed registers.
-bool ComboWorker::sweep(const std::vector<size_t> &RfChoice, bool *Verify) {
+/// taints and records observed registers. Registers, locations and
+/// expressions were resolved to indices by compileCombo, so a sweep
+/// does no string work on all-static combos.
+bool ComboWorker::sweep(bool *Verify) {
   bool Changed = false;
+  const unsigned N = Events.size();
   if (Verify) {
-    AddrDeps.assign(Events.size(), {});
-    DataDeps.assign(Events.size(), {});
-    CtrlDeps.assign(Events.size(), {});
+    AddrDeps.assign(N, Bitset(N));
+    DataDeps.assign(N, Bitset(N));
+    CtrlDeps.assign(N, Bitset(N));
     ObservedRegs.clear();
   }
   for (unsigned T = 0; T != Paths.size(); ++T) {
-    std::map<std::string, SimVal> Regs;
-    std::map<std::string, std::set<unsigned>> Taint;
-    std::set<unsigned> CtrlTaint;
-    auto EvIt = OpEvents[T].begin();
-    const auto EvEnd = OpEvents[T].end();
-    for (unsigned I = 0; I != Paths[T]->Ops.size(); ++I) {
-      const SimOp &Op = Paths[T]->Ops[I];
-      // Events created for this op, in creation order.
-      unsigned Ev0 = ~0u, Ev1 = ~0u;
-      while (EvIt != EvEnd && EvIt->first == I) {
-        (Ev0 == ~0u ? Ev0 : Ev1) = EvIt->second;
-        ++EvIt;
-      }
-      auto ResolveAddr = [&](unsigned Ev) -> std::string {
+    const ThreadPlan &TP = ThreadPlans[T];
+    const SimPath &Path = *Paths[T];
+    Regs.assign(TP.NumRegs, SimVal{});
+    if (Verify) {
+      Taint.assign(TP.NumRegs, Bitset(N));
+      CtrlTaint = Bitset(N);
+    }
+    for (unsigned I = 0; I != Path.Ops.size(); ++I) {
+      const SimOp &Op = Path.Ops[I];
+      const OpPlan &P = TP.Ops[I];
+      auto ResolveAddr = [&](unsigned Ev) -> unsigned {
         if (Op.Addr.isStatic())
-          return SimAddr::locName(Op.Addr.Sym, Op.Addr.Off);
-        auto It = Regs.find(Op.Addr.Reg);
-        if (It != Regs.end() && It->second.K == SimVal::Kind::Addr) {
-          if (Verify) {
-            auto TIt = Taint.find(Op.Addr.Reg);
-            if (TIt != Taint.end())
-              for (unsigned Src : TIt->second)
-                AddrDeps[Ev].insert(Src);
-          }
-          return SimAddr::locName(It->second.Sym, Op.Addr.Off);
+          return Events[Ev].Loc;
+        const SimVal &Base = Regs[P.AddrReg];
+        if (Base.K == SimVal::Kind::Addr) {
+          if (Verify)
+            AddrDeps[Ev] |= Taint[P.AddrReg];
+          return locAt(Base.Sym, Op.Addr.Off);
         }
         if (Verify)
           *Verify = false; // unresolvable dynamic address
-        return "";
+        return kNoLoc;
       };
-      auto Update = [&](unsigned Ev, const EvState &NewState) {
-        if (!(State[Ev] == NewState)) {
-          State[Ev] = NewState;
+      auto Update = [&](unsigned Ev, const SimVal &Val, unsigned Loc) {
+        EvState &S = State[Ev];
+        if (S.Loc != Loc || !(S.Val == Val)) {
+          S.Val = Val;
+          S.Loc = Loc;
           Changed = true;
         }
       };
-      auto ReadWidthTruncate = [&](const std::string &Loc, SimVal V) {
-        return truncAt(Loc, std::move(V));
+      // The union of the taints of the registers the op's value reads.
+      auto UsesTaint = [&](Bitset &Into) {
+        for (unsigned U = P.UsesBegin; U != P.UsesEnd; ++U)
+          Into |= Taint[UsePool[U]];
+      };
+      auto TaintOnly = [&](unsigned Reg, unsigned Ev) {
+        Taint[Reg].clear();
+        Taint[Reg].set(Ev);
       };
       switch (Op.K) {
       case SimOp::Kind::Assign: {
         if (Verify) {
-          std::vector<std::string> Used;
-          Op.Val.collectRegs(Used);
-          std::set<unsigned> T2;
-          for (const std::string &U : Used)
-            for (unsigned Src : Taint[U])
-              T2.insert(Src);
-          Taint[Op.Dst] = std::move(T2);
+          Bitset T2(N);
+          UsesTaint(T2);
+          Taint[P.Dst] = T2;
         }
-        Regs[Op.Dst] = evalSimExpr(Op.Val, Regs);
+        Regs[P.Dst] = evalX(XPool, P.Val, Regs.data());
         break;
       }
       case SimOp::Kind::AddrOf: {
-        Regs[Op.Dst] =
-            SimVal{SimVal::Kind::Addr, LocAddr.at(Op.Sym), Op.Sym};
+        Regs[P.Dst] = P.AddrOfVal.K == SimVal::Kind::Addr
+                          ? P.AddrOfVal
+                          : SimVal{SimVal::Kind::Addr, LocAddr.at(Op.Sym),
+                                   Op.Sym};
         if (Verify)
-          Taint[Op.Dst].clear();
+          Taint[P.Dst].clear();
         break;
       }
       case SimOp::Kind::Constraint: {
         if (Verify) {
-          SimVal C = evalSimExpr(Op.Val, Regs);
+          SimVal C = evalX(XPool, P.Val, Regs.data());
           bool NonZero = !C.V.isZero() || C.K == SimVal::Kind::Addr;
           if (NonZero != Op.ConstraintNonZero)
             *Verify = false;
-          std::vector<std::string> Used;
-          Op.Val.collectRegs(Used);
-          for (const std::string &U : Used)
-            for (unsigned Src : Taint[U])
-              CtrlTaint.insert(Src);
+          UsesTaint(CtrlTaint);
         }
         break;
       }
       case SimOp::Kind::Fence: {
         if (Verify)
-          for (unsigned Src : CtrlTaint)
-            CtrlDeps[Ev0].insert(Src);
+          CtrlDeps[P.Ev0] |= CtrlTaint;
         break;
       }
       case SimOp::Kind::Load: {
-        unsigned ReadEv = Ev0;
-        std::string Loc = ResolveAddr(ReadEv);
-        unsigned RfW = rfSource(RfChoice, ReadEv);
+        unsigned ReadEv = P.Ev0;
+        unsigned Loc = ResolveAddr(ReadEv);
+        unsigned RfW = rfSource(ReadEv);
         SimVal V = State[RfW].Val;
-        if (!Loc.empty())
-          V = ReadWidthTruncate(Loc, V);
-        Update(ReadEv, EvState{V, Loc});
-        if (!Op.Dst.empty()) {
+        if (Loc != kNoLoc)
+          V = truncAt(Loc, std::move(V));
+        Update(ReadEv, V, Loc);
+        if (P.Dst != kNoReg) {
           if (Op.Is128) {
-            Regs[Op.Dst] = SimVal{SimVal::Kind::Int, Value(V.V.Lo), ""};
-            Regs[Op.Dst2] = SimVal{SimVal::Kind::Int, Value(V.V.Hi), ""};
+            Regs[P.Dst] = SimVal{SimVal::Kind::Int, Value(V.V.Lo), ""};
+            Regs[P.Dst2] = SimVal{SimVal::Kind::Int, Value(V.V.Hi), ""};
             if (Verify) {
-              Taint[Op.Dst] = {ReadEv};
-              Taint[Op.Dst2] = {ReadEv};
+              TaintOnly(P.Dst, ReadEv);
+              TaintOnly(P.Dst2, ReadEv);
             }
           } else {
-            Regs[Op.Dst] = V;
+            Regs[P.Dst] = V;
             if (Verify)
-              Taint[Op.Dst] = {ReadEv};
+              TaintOnly(P.Dst, ReadEv);
           }
         }
         if (Verify) {
-          for (unsigned Src : CtrlTaint)
-            CtrlDeps[ReadEv].insert(Src);
+          CtrlDeps[ReadEv] |= CtrlTaint;
           // rf source must be a write to the same resolved location.
-          const std::string &WLoc = State[RfW].Loc;
-          if (Loc.empty() || WLoc != Loc)
+          if (Loc == kNoLoc || State[RfW].Loc != Loc)
             *Verify = false;
         }
         break;
       }
       case SimOp::Kind::Store: {
-        unsigned WriteEv = Ev0;
-        std::string Loc = ResolveAddr(WriteEv);
-        SimVal V = evalSimExpr(Op.Val, Regs);
+        unsigned WriteEv = P.Ev0;
+        unsigned Loc = ResolveAddr(WriteEv);
+        SimVal V = evalX(XPool, P.Val, Regs.data());
         if (Op.Is128) {
-          SimVal Hi = evalSimExpr(Op.ValHi, Regs);
+          SimVal Hi = evalX(XPool, P.ValHi, Regs.data());
           V = SimVal{SimVal::Kind::Int, Value(V.V.Lo, Hi.V.Lo), ""};
         }
-        if (!Loc.empty())
-          V = ReadWidthTruncate(Loc, V);
-        Update(WriteEv, EvState{V, Loc});
-        if (!Op.Dst.empty()) {
+        if (Loc != kNoLoc)
+          V = truncAt(Loc, std::move(V));
+        Update(WriteEv, V, Loc);
+        if (P.Dst != kNoReg) {
           // Exclusive-store status register: success (herd assumes
           // exclusive pairs succeed; failing paths are infeasible).
-          Regs[Op.Dst] =
+          Regs[P.Dst] =
               SimVal{SimVal::Kind::Int, Value(Op.StatusSuccess), ""};
           if (Verify)
-            Taint[Op.Dst].clear();
+            Taint[P.Dst].clear();
         }
         if (Verify) {
-          std::vector<std::string> Used;
-          Op.Val.collectRegs(Used);
-          Op.ValHi.collectRegs(Used);
-          for (const std::string &U : Used)
-            for (unsigned Src : Taint[U])
-              DataDeps[WriteEv].insert(Src);
-          for (unsigned Src : CtrlTaint)
-            CtrlDeps[WriteEv].insert(Src);
-          if (Loc.empty())
+          UsesTaint(DataDeps[WriteEv]);
+          CtrlDeps[WriteEv] |= CtrlTaint;
+          if (Loc == kNoLoc)
             *Verify = false;
         }
         break;
       }
       case SimOp::Kind::Rmw: {
-        unsigned ReadEv = Ev0, WriteEv = Ev1;
-        std::string Loc = ResolveAddr(ReadEv);
-        unsigned RfW = rfSource(RfChoice, ReadEv);
+        unsigned ReadEv = P.Ev0, WriteEv = P.Ev1;
+        unsigned Loc = ResolveAddr(ReadEv);
+        unsigned RfW = rfSource(ReadEv);
         SimVal Old = State[RfW].Val;
-        if (!Loc.empty())
-          Old = ReadWidthTruncate(Loc, Old);
-        SimVal Operand = evalSimExpr(Op.Val, Regs);
+        if (Loc != kNoLoc)
+          Old = truncAt(Loc, std::move(Old));
+        SimVal Operand = evalX(XPool, P.Val, Regs.data());
         SimVal New;
         New.K = SimVal::Kind::Int;
         switch (Op.RmwOp) {
@@ -887,27 +1062,20 @@ bool ComboWorker::sweep(const std::vector<size_t> &RfChoice, bool *Verify) {
           New.V = Old.V.sub(Operand.V);
           break;
         }
-        if (!Loc.empty())
-          New = ReadWidthTruncate(Loc, New);
-        Update(ReadEv, EvState{Old, Loc});
-        Update(WriteEv, EvState{New, Loc});
-        if (!Op.Dst.empty() && !Op.NoRet) {
-          Regs[Op.Dst] = Old;
+        if (Loc != kNoLoc)
+          New = truncAt(Loc, std::move(New));
+        Update(ReadEv, Old, Loc);
+        Update(WriteEv, New, Loc);
+        if (P.Dst != kNoReg && !Op.NoRet) {
+          Regs[P.Dst] = Old;
           if (Verify)
-            Taint[Op.Dst] = {ReadEv};
+            TaintOnly(P.Dst, ReadEv);
         }
         if (Verify) {
-          std::vector<std::string> Used;
-          Op.Val.collectRegs(Used);
-          for (const std::string &U : Used)
-            for (unsigned Src : Taint[U])
-              DataDeps[WriteEv].insert(Src);
-          for (unsigned Src : CtrlTaint) {
-            CtrlDeps[ReadEv].insert(Src);
-            CtrlDeps[WriteEv].insert(Src);
-          }
-          const std::string &WLoc = State[RfW].Loc;
-          if (Loc.empty() || WLoc != Loc)
+          UsesTaint(DataDeps[WriteEv]);
+          CtrlDeps[ReadEv] |= CtrlTaint;
+          CtrlDeps[WriteEv] |= CtrlTaint;
+          if (Loc == kNoLoc || State[RfW].Loc != Loc)
             *Verify = false;
         }
         break;
@@ -915,37 +1083,33 @@ bool ComboWorker::sweep(const std::vector<size_t> &RfChoice, bool *Verify) {
       }
     }
     if (Verify)
-      for (const auto &[Reg, Key] : Prog.Threads[T].Observed) {
-        (void)Key; // Interned once in the constructor; threads append
-                   // in order, so the flat index is the current size.
-        auto It = Regs.find(Reg);
+      for (unsigned R : TP.Observed)
         ObservedRegs.emplace_back(ObservedRegSym[ObservedRegs.size()],
-                                  It == Regs.end() ? Value() : It->second.V);
-      }
+                                  Regs[R].V);
   }
   return Changed;
 }
 
 /// Fixpoint value resolution; true when this rf assignment is
 /// consistent (stable values, feasible branches, matching addresses).
-bool ComboWorker::resolveValues(const std::vector<size_t> &RfChoice) {
+bool ComboWorker::resolveValues() {
   unsigned N = Events.size();
   State.assign(N, EvState());
   for (unsigned I = 0; I != N; ++I)
     if (Events[I].IsInit) {
-      const SimLoc *L = Prog.findLocation(Events[I].InitLoc);
-      SimVal V;
+      unsigned Loc = Events[I].Loc;
+      const SimLoc *L = LocDecl[Loc];
+      State[I].Loc = Loc;
       if (!L->InitAddrOf.empty())
-        V = SimVal{SimVal::Kind::Addr, LocAddr.at(L->InitAddrOf),
-                   L->InitAddrOf};
+        State[I].Val = SimVal{SimVal::Kind::Addr, LocAddr.at(L->InitAddrOf),
+                              L->InitAddrOf};
       else
-        V = SimVal{SimVal::Kind::Int, L->Init, ""};
-      State[I] = EvState{V, Events[I].InitLoc};
+        State[I].Val = LocInit[Loc];
     }
   unsigned MaxRounds = N + 2;
   bool Stable = false;
   for (unsigned Round = 0; Round != MaxRounds; ++Round) {
-    if (!sweep(RfChoice, nullptr)) {
+    if (!sweep(nullptr)) {
       Stable = true;
       break;
     }
@@ -953,19 +1117,18 @@ bool ComboWorker::resolveValues(const std::vector<size_t> &RfChoice) {
   if (!Stable)
     return false;
   bool Consistent = true;
-  sweep(RfChoice, &Consistent);
+  sweep(&Consistent);
   return Consistent;
 }
 
 /// Builds the per-combo execution skeleton: events with kinds, threads
 /// and tags (including ConstWrite for statically-located writes), po,
-/// and rmw edges. Copied per candidate; only Loc/Val/rf/co/deps (and
+/// and rmw edges. Patched per candidate; only Loc/Val/rf/co/deps (and
 /// ConstWrite on dynamically-located writes) vary within a combo.
 void ComboWorker::buildSkeletonExecution() {
   unsigned N = Events.size();
   SkelEx = Execution();
   SkelEx.Events.resize(N);
-  InitEvByLoc.clear();
   for (unsigned I = 0; I != N; ++I) {
     Event &E = SkelEx.Events[I];
     E.Id = I;
@@ -974,7 +1137,6 @@ void ComboWorker::buildSkeletonExecution() {
       E.Thread = Event::InitThread;
       E.PoIndex = 0;
       E.Tags = {"IW"};
-      InitEvByLoc[Events[I].InitLoc] = I;
       continue;
     }
     E.Thread = Events[I].Thread;
@@ -990,8 +1152,7 @@ void ComboWorker::buildSkeletonExecution() {
       E.Tags = Op->Tags;
     }
     if (Events[I].Kind == EventKind::Write && Op->Addr.isStatic())
-      if (const SimLoc *L = Prog.findLocation(staticLocOf(*Op));
-          L && L->Const)
+      if (const SimLoc *L = LocDecl[Events[I].Loc]; L && L->Const)
         E.Tags.insert("ConstWrite");
   }
   SkelEx.resizeRelations();
@@ -1033,66 +1194,104 @@ void ComboWorker::buildSkeletonExecution() {
 }
 
 /// Instantiates the skeleton for the current rf assignment: resolved
-/// values/locations, rf edges and dependency relations. Coherence is
-/// filled in per permutation by checkCandidate.
+/// values/locations, rf edges and dependency relations. CandEx already
+/// holds the combo's skeleton; only what varies between candidates is
+/// rewritten, so no event is copied. Coherence is filled in per
+/// permutation by checkCandidate.
 void ComboWorker::buildCandidateExecution() {
   unsigned N = Events.size();
-  CandEx = SkelEx;
   for (unsigned I = 0; I != N; ++I) {
     Event &E = CandEx.Events[I];
-    E.Loc = State[I].Loc;
+    unsigned Loc = State[I].Loc;
+    if (CandLoc[I] != Loc) {
+      if (Loc == kNoLoc)
+        E.Loc.clear();
+      else
+        E.Loc = LocNames[Loc];
+      CandLoc[I] = Loc;
+    }
     E.Val = State[I].Val.V;
     // Writes whose location only resolved now may hit a const
     // location (static ones were tagged in the skeleton).
     if (!Events[I].IsInit && Events[I].Kind == EventKind::Write &&
-        !Events[I].Op->Addr.isStatic())
-      if (const SimLoc *L = Prog.findLocation(E.Loc); L && L->Const)
-        E.Tags.insert("ConstWrite");
+        !Events[I].Op->Addr.isStatic()) {
+      char Want = SkelConstWrite[I] ||
+                  (Loc != kNoLoc && LocDecl[Loc] && LocDecl[Loc]->Const);
+      if (Want != CandConstWrite[I]) {
+        if (Want)
+          E.Tags.insert("ConstWrite");
+        else
+          E.Tags.erase("ConstWrite");
+        CandConstWrite[I] = Want;
+      }
+    }
   }
+  CandEx.Rf.clear();
   for (unsigned RI = 0; RI != Reads.size(); ++RI)
     CandEx.Rf.set(RfCand[RI][RfChoice[RI]], Reads[RI]);
+  CandEx.Addr.clear();
+  CandEx.Data.clear();
+  CandEx.Ctrl.clear();
   for (unsigned Ev = 0; Ev != N; ++Ev) {
-    for (unsigned Src : AddrDeps[Ev])
-      CandEx.Addr.set(Src, Ev);
-    for (unsigned Src : DataDeps[Ev])
-      CandEx.Data.set(Src, Ev);
-    for (unsigned Src : CtrlDeps[Ev])
-      CandEx.Ctrl.set(Src, Ev);
+    AddrDeps[Ev].forEach([&](unsigned Src) { CandEx.Addr.set(Src, Ev); });
+    DataDeps[Ev].forEach([&](unsigned Src) { CandEx.Data.set(Src, Ev); });
+    CtrlDeps[Ev].forEach([&](unsigned Src) { CandEx.Ctrl.set(Src, Ev); });
   }
 }
 
 /// Enumerates per-location coherence orders and model-checks each
 /// complete candidate.
 void ComboWorker::enumerateCo() {
-  // Group non-init writes by resolved location, in po order.
-  std::map<std::string, std::vector<unsigned>> ByLoc;
-  for (unsigned W : Writes)
-    if (!Events[W].IsInit)
-      ByLoc[State[W].Loc].push_back(W);
-  std::vector<std::vector<unsigned>> Groups;
-  for (auto &[Loc, Ws] : ByLoc) {
-    std::sort(Ws.begin(), Ws.end());
-    Groups.push_back(Ws);
+  // Group non-init writes by resolved location, in po order; groups
+  // are permuted in location-name order.
+  if (GroupOfLoc.size() < LocNames.size())
+    GroupOfLoc.resize(LocNames.size(), kNoLoc);
+  NumGroups = 0;
+  for (unsigned W : Writes) {
+    if (Events[W].IsInit)
+      continue;
+    unsigned Loc = State[W].Loc;
+    assert(Loc != kNoLoc && "consistent candidates resolve every write");
+    unsigned &G = GroupOfLoc[Loc];
+    if (G == kNoLoc) {
+      G = unsigned(NumGroups++);
+      if (Groups.size() < NumGroups) {
+        Groups.emplace_back();
+        GroupLoc.push_back(0);
+      }
+      Groups[G].clear();
+      GroupLoc[G] = Loc;
+    }
+    Groups[G].push_back(W);
   }
+  for (size_t I = 1; I < NumGroups; ++I)
+    for (size_t J = I;
+         J != 0 && LocNames[GroupLoc[J]] < LocNames[GroupLoc[J - 1]]; --J) {
+      std::swap(Groups[J], Groups[J - 1]);
+      std::swap(GroupLoc[J], GroupLoc[J - 1]);
+    }
+  for (size_t G = 0; G != NumGroups; ++G)
+    GroupOfLoc[GroupLoc[G]] = unsigned(G);
   // Recursively permute each group.
-  permuteGroups(Groups, 0);
+  permuteGroups(0);
+  for (size_t G = 0; G != NumGroups; ++G)
+    GroupOfLoc[GroupLoc[G]] = kNoLoc;
 }
 
-void ComboWorker::permuteGroups(std::vector<std::vector<unsigned>> &Groups,
-                                size_t GI) {
+void ComboWorker::permuteGroups(size_t GI) {
   if (shouldStop())
     return;
-  if (GI == Groups.size()) {
+  if (GI == NumGroups) {
     if (!budget())
       return;
     ++WR.Stats.CoCandidates;
-    checkCandidate(Groups);
+    checkCandidate();
     return;
   }
   std::vector<unsigned> &G = Groups[GI];
   std::sort(G.begin(), G.end());
   do {
-    permuteGroups(Groups, GI + 1);
+    permuteGroups(GI + 1);
     if (shouldStop())
       return;
   } while (std::next_permutation(G.begin(), G.end()));
@@ -1100,29 +1299,25 @@ void ComboWorker::permuteGroups(std::vector<std::vector<unsigned>> &Groups,
 
 /// Completes the candidate execution with the current coherence
 /// permutation and runs the model.
-void ComboWorker::checkCandidate(
-    const std::vector<std::vector<unsigned>> &Groups) {
-  unsigned N = Events.size();
+void ComboWorker::checkCandidate() {
   // co: init write of each location first, then the group permutation.
-  CandEx.Co = Relation(N);
-  for (const auto &G : Groups) {
-    if (G.empty())
-      continue;
-    auto InitIt = InitEvByLoc.find(State[G.front()].Loc);
-    std::vector<unsigned> Chain;
-    if (InitIt != InitEvByLoc.end())
-      Chain.push_back(InitIt->second);
-    Chain.insert(Chain.end(), G.begin(), G.end());
-    for (size_t A = 0; A != Chain.size(); ++A)
-      for (size_t B = A + 1; B != Chain.size(); ++B)
-        CandEx.Co.set(Chain[A], Chain[B]);
+  CandEx.Co.clear();
+  for (size_t GI = 0; GI != NumGroups; ++GI) {
+    const std::vector<unsigned> &G = Groups[GI];
+    unsigned Loc = GroupLoc[GI];
+    if (Loc < InitEvOfLoc.size() && InitEvOfLoc[Loc] != ~0u)
+      for (unsigned W : G)
+        CandEx.Co.set(InitEvOfLoc[Loc], W);
+    for (size_t A = 0; A != G.size(); ++A)
+      for (size_t B = A + 1; B != G.size(); ++B)
+        CandEx.Co.set(G[A], G[B]);
   }
   // Locations written by nobody still have their init write in co
   // (singleton chains need no edges).
 
   // With IncrementalCatEval off, Eval runs in no-cache mode: full
   // re-evaluation per candidate, identical verdicts.
-  ModelVerdict Verdict = Eval.evaluate(CandEx);
+  const ModelVerdict &Verdict = Eval.evaluate(CandEx);
   if (!Verdict.ok()) {
     if (WR.Error.empty() || CurShardIdx < WR.ErrorShard) {
       WR.Error = Verdict.Error;
@@ -1135,14 +1330,20 @@ void ComboWorker::checkCandidate(
   if (!Verdict.Allowed)
     return;
   ++WR.Stats.AllowedExecutions;
-  // Outcome: observed registers + observed locations' final values.
-  Outcome O;
+  // Outcome: observed registers + observed locations' final values (the
+  // co-maximal write: the last of the location's group, else its init).
+  Outcome &O = CandOutcome;
+  O.clear();
   for (const auto &[Key, V] : ObservedRegs)
     O.set(Key, V);
-  std::map<std::string, Value> FinalMem = CandEx.finalMemory();
-  for (size_t L = 0; L != Prog.ObservedLocs.size(); ++L) {
-    auto It = FinalMem.find(Prog.ObservedLocs[L]);
-    O.set(ObservedLocSym[L], It == FinalMem.end() ? Value() : It->second);
+  for (size_t L = 0; L != ObservedLocIdx.size(); ++L) {
+    unsigned Loc = ObservedLocIdx[L];
+    unsigned Last = ~0u;
+    if (Loc < GroupOfLoc.size() && GroupOfLoc[Loc] != kNoLoc)
+      Last = Groups[GroupOfLoc[Loc]].back();
+    else if (Loc < InitEvOfLoc.size())
+      Last = InitEvOfLoc[Loc];
+    O.set(ObservedLocSym[L], Last == ~0u ? Value() : State[Last].Val.V);
   }
   WR.Allowed.insert(O);
   for (const std::string &F : Verdict.Flags)

@@ -122,7 +122,8 @@ private:
   /// dead in one quadratic compile over two rf candidate lists.
   bool compilePairNogoods() {
     constexpr size_t kMaxPairProduct = 4096;
-    for (const PruneCheck &PC : W.PruneChecks) {
+    for (size_t CI = 0; CI != W.PruneChecks.size(); ++CI) {
+      const PruneCheck &PC = W.PruneChecks[CI];
       unsigned R1 = ~0u, R2 = ~0u;
       bool MoreRoots = false;
       for (const auto &[Reg, A] : PC.Regs) {
@@ -147,29 +148,25 @@ private:
       const std::vector<unsigned> &Cand2 = W.RfCand[RI2];
       if (Cand1.size() * Cand2.size() > kMaxPairProduct)
         continue;
-      std::string L1 = ComboWorker::staticLocOf(*E1.Op);
-      std::string L2 = ComboWorker::staticLocOf(*E2.Op);
       std::vector<std::pair<unsigned, unsigned>> Violated;
       for (unsigned C1 = 0; C1 != Cand1.size(); ++C1) {
         const AbsVal &A1 = W.EvAbs[Cand1[C1]];
         if (A1.K != AbsVal::Kind::Known)
           continue;
-        SimVal V1 = W.truncAt(L1, A1.V);
+        SimVal V1 = W.truncAt(E1.Loc, A1.V);
         for (unsigned C2 = 0; C2 != Cand2.size(); ++C2) {
           const AbsVal &A2 = W.EvAbs[Cand2[C2]];
           if (A2.K != AbsVal::Kind::Known)
             continue;
-          SimVal V2 = W.truncAt(L2, A2.V);
-          std::map<std::string, SimVal> Regs;
-          for (const auto &[Reg, A] : PC.Regs) {
-            if (A.K == AbsVal::Kind::Known)
-              Regs[Reg] = A.V;
-            else
-              Regs[Reg] = A.apply(A.ReadEv == R1 ? V1 : V2);
+          SimVal V2 = W.truncAt(E2.Loc, A2.V);
+          W.CheckRegs.resize(PC.Regs.size());
+          for (size_t K = 0; K != PC.Regs.size(); ++K) {
+            const AbsVal &A = PC.Regs[K].second;
+            W.CheckRegs[K] = A.K == AbsVal::Kind::Known
+                                 ? A.V
+                                 : A.apply(A.ReadEv == R1 ? V1 : V2);
           }
-          SimVal C = evalSimExpr(*PC.E, Regs);
-          bool NonZero = !C.V.isZero() || C.K == SimVal::Kind::Addr;
-          if (NonZero != PC.ExpectNonZero)
+          if (!W.checkSatisfied(CI))
             Violated.emplace_back(C1, C2);
         }
       }

@@ -3,18 +3,55 @@
 // Part of the Télétchat reproduction. MIT licensed; see README.md.
 //
 //===----------------------------------------------------------------------===//
+//
+// Every kernel has a single-word fast path for universes of at most 64
+// events, where a row is one uint64_t and a set is one word; the general
+// loops handle the spilled representation.
+//
+//===----------------------------------------------------------------------===//
 
 #include "support/Relation.h"
 
 #include <cstddef>
+#include <cstring>
 
 using namespace telechat;
 using std::size_t;
 
+Relation::Relation(unsigned UniverseSize)
+    : N(UniverseSize), WordsPerRow((UniverseSize + 63) / 64) {
+  if (isInline())
+    std::memset(Inline, 0, N * sizeof(uint64_t));
+  else
+    Spill.assign(numWords(), 0);
+}
+
+void Relation::copyFrom(const Relation &RHS) {
+  N = RHS.N;
+  WordsPerRow = RHS.WordsPerRow;
+  if (isInline()) {
+    std::memcpy(Inline, RHS.Inline, N * sizeof(uint64_t));
+    Spill.clear();
+  } else {
+    Spill = RHS.Spill;
+  }
+}
+
+void Relation::moveFrom(Relation &RHS) {
+  N = RHS.N;
+  WordsPerRow = RHS.WordsPerRow;
+  if (isInline())
+    std::memcpy(Inline, RHS.Inline, N * sizeof(uint64_t));
+  else
+    Spill = std::move(RHS.Spill);
+  RHS.N = 0;
+  RHS.WordsPerRow = 0;
+  RHS.Spill.clear();
+}
+
 Relation Relation::identity(unsigned N) {
   Relation R(N);
-  for (unsigned I = 0; I != N; ++I)
-    R.set(I, I);
+  R.addDiagonal();
   return R;
 }
 
@@ -35,8 +72,11 @@ Relation Relation::full(unsigned N) {
 Relation Relation::cross(const Bitset &A, const Bitset &B) {
   assert(A.universeSize() == B.universeSize() && "universe mismatch");
   Relation R(A.universeSize());
+  const uint64_t *BW = B.words();
   A.forEach([&](unsigned I) {
-    B.forEach([&](unsigned J) { R.set(I, J); });
+    uint64_t *Row = R.row(I);
+    for (unsigned WI = 0; WI != R.WordsPerRow; ++WI)
+      Row[WI] = BW[WI];
   });
   return R;
 }
@@ -47,44 +87,74 @@ Relation Relation::identityOn(const Bitset &S) {
   return R;
 }
 
+void Relation::clear() {
+  uint64_t *D = data();
+  for (size_t I = 0, E = numWords(); I != E; ++I)
+    D[I] = 0;
+}
+
 unsigned Relation::count() const {
   unsigned Total = 0;
-  for (uint64_t W : Bits)
-    Total += __builtin_popcountll(W);
+  const uint64_t *D = data();
+  for (size_t I = 0, E = numWords(); I != E; ++I)
+    Total += __builtin_popcountll(D[I]);
   return Total;
 }
 
 bool Relation::empty() const {
-  for (uint64_t W : Bits)
-    if (W)
+  const uint64_t *D = data();
+  for (size_t I = 0, E = numWords(); I != E; ++I)
+    if (D[I])
       return false;
   return true;
 }
 
+bool Relation::operator==(const Relation &RHS) const {
+  return N == RHS.N &&
+         std::memcmp(data(), RHS.data(), numWords() * sizeof(uint64_t)) == 0;
+}
+
 Relation &Relation::operator|=(const Relation &RHS) {
   assert(N == RHS.N && "universe mismatch");
-  for (size_t I = 0, E = Bits.size(); I != E; ++I)
-    Bits[I] |= RHS.Bits[I];
+  uint64_t *D = data();
+  const uint64_t *R = RHS.data();
+  for (size_t I = 0, E = numWords(); I != E; ++I)
+    D[I] |= R[I];
   return *this;
 }
 
 Relation &Relation::operator&=(const Relation &RHS) {
   assert(N == RHS.N && "universe mismatch");
-  for (size_t I = 0, E = Bits.size(); I != E; ++I)
-    Bits[I] &= RHS.Bits[I];
+  uint64_t *D = data();
+  const uint64_t *R = RHS.data();
+  for (size_t I = 0, E = numWords(); I != E; ++I)
+    D[I] &= R[I];
   return *this;
 }
 
 Relation &Relation::operator-=(const Relation &RHS) {
   assert(N == RHS.N && "universe mismatch");
-  for (size_t I = 0, E = Bits.size(); I != E; ++I)
-    Bits[I] &= ~RHS.Bits[I];
+  uint64_t *D = data();
+  const uint64_t *R = RHS.data();
+  for (size_t I = 0, E = numWords(); I != E; ++I)
+    D[I] &= ~R[I];
   return *this;
 }
 
 Relation Relation::seq(const Relation &RHS) const {
   assert(N == RHS.N && "universe mismatch");
   Relation Out(N);
+  if (WordsPerRow == 1) {
+    for (unsigned A = 0; A != N; ++A) {
+      uint64_t W = Inline[A], Acc = 0;
+      while (W) {
+        Acc |= RHS.Inline[__builtin_ctzll(W)];
+        W &= W - 1;
+      }
+      Out.Inline[A] = Acc;
+    }
+    return Out;
+  }
   for (unsigned A = 0; A != N; ++A) {
     const uint64_t *RowA = row(A);
     uint64_t *RowOut = Out.row(A);
@@ -112,14 +182,22 @@ Relation Relation::transitiveClosure() const {
   // Warshall's algorithm with bit-parallel row unions: if (A,K) then
   // row(A) |= row(K). Iterating K in the outer loop preserves correctness.
   Relation Out = *this;
+  if (WordsPerRow == 1) {
+    uint64_t *R = Out.Inline;
+    for (unsigned K = 0; K != N; ++K) {
+      const uint64_t Bit = uint64_t(1) << K, RowK = R[K];
+      for (unsigned A = 0; A != N; ++A)
+        if (R[A] & Bit)
+          R[A] |= RowK;
+    }
+    return Out;
+  }
   for (unsigned K = 0; K != N; ++K) {
     const uint64_t *RowK = Out.row(K);
     for (unsigned A = 0; A != N; ++A) {
-      if (!Out.test(A, K))
+      if (A == K || !Out.test(A, K))
         continue;
       uint64_t *RowA = Out.row(A);
-      if (A == K)
-        continue;
       for (unsigned WI = 0; WI != WordsPerRow; ++WI)
         RowA[WI] |= RowK[WI];
     }
@@ -127,16 +205,57 @@ Relation Relation::transitiveClosure() const {
   return Out;
 }
 
-Relation Relation::reflexiveTransitiveClosure() const {
-  Relation Out = transitiveClosure();
-  return Out |= identity(N);
+void Relation::addDiagonal() {
+  for (unsigned I = 0; I != N; ++I)
+    set(I, I);
 }
 
-Relation Relation::optional() const { return *this | identity(N); }
+Relation Relation::reflexiveTransitiveClosure() const {
+  Relation Out = transitiveClosure();
+  Out.addDiagonal();
+  return Out;
+}
+
+Relation Relation::optional() const {
+  Relation Out = *this;
+  Out.addDiagonal();
+  return Out;
+}
 
 bool Relation::isAcyclic() const {
-  Relation Closed = transitiveClosure();
-  return Closed.isIrreflexive();
+  // Kahn, one level at a time: the sources of the remaining subgraph are
+  // the remaining nodes no remaining node points at. Peeling them cannot
+  // create a cycle, so the relation is acyclic iff peeling empties it. A
+  // self-loop keeps its node a target forever.
+  if (WordsPerRow == 1) {
+    uint64_t Remaining = N == 64 ? ~uint64_t(0) : (uint64_t(1) << N) - 1;
+    while (Remaining) {
+      uint64_t Targets = 0;
+      for (uint64_t W = Remaining; W; W &= W - 1)
+        Targets |= Inline[__builtin_ctzll(W)];
+      uint64_t Sources = Remaining & ~Targets;
+      if (!Sources)
+        return false;
+      Remaining &= ~Sources;
+    }
+    return true;
+  }
+  Bitset Remaining = Bitset::all(N);
+  Bitset Targets(N);
+  uint64_t *TW = Targets.words();
+  while (!Remaining.empty()) {
+    Targets.clear();
+    Remaining.forEach([&](unsigned A) {
+      const uint64_t *Row = row(A);
+      for (unsigned WI = 0; WI != WordsPerRow; ++WI)
+        TW[WI] |= Row[WI];
+    });
+    Targets &= Remaining;
+    if (Targets == Remaining)
+      return false;
+    Remaining = Targets;
+  }
+  return true;
 }
 
 bool Relation::isIrreflexive() const {
@@ -147,23 +266,48 @@ bool Relation::isIrreflexive() const {
 }
 
 Relation Relation::restricted(const Bitset &Dom, const Bitset &Ran) const {
+  assert(Dom.universeSize() == N && Ran.universeSize() == N &&
+         "universe mismatch");
   Relation Out(N);
-  forEach([&](unsigned A, unsigned B) {
-    if (Dom.test(A) && Ran.test(B))
-      Out.set(A, B);
+  if (WordsPerRow == 1) {
+    const uint64_t RanW = Ran.words()[0];
+    for (uint64_t W = Dom.words()[0]; W; W &= W - 1) {
+      unsigned A = __builtin_ctzll(W);
+      Out.Inline[A] = Inline[A] & RanW;
+    }
+    return Out;
+  }
+  const uint64_t *RanW = Ran.words();
+  Dom.forEach([&](unsigned A) {
+    const uint64_t *Row = row(A);
+    uint64_t *RowOut = Out.row(A);
+    for (unsigned WI = 0; WI != WordsPerRow; ++WI)
+      RowOut[WI] = Row[WI] & RanW[WI];
   });
   return Out;
 }
 
 Bitset Relation::domain() const {
   Bitset Out(N);
-  forEach([&](unsigned A, unsigned) { Out.set(A); });
+  for (unsigned A = 0; A != N; ++A) {
+    const uint64_t *Row = row(A);
+    for (unsigned WI = 0; WI != WordsPerRow; ++WI)
+      if (Row[WI]) {
+        Out.set(A);
+        break;
+      }
+  }
   return Out;
 }
 
 Bitset Relation::range() const {
   Bitset Out(N);
-  forEach([&](unsigned, unsigned B) { Out.set(B); });
+  uint64_t *OW = Out.words();
+  for (unsigned A = 0; A != N; ++A) {
+    const uint64_t *Row = row(A);
+    for (unsigned WI = 0; WI != WordsPerRow; ++WI)
+      OW[WI] |= Row[WI];
+  }
   return Out;
 }
 

@@ -29,12 +29,32 @@
 namespace telechat {
 
 /// A binary relation over {0..N-1}, stored as a row-major bit matrix.
+///
+/// Universes of at most kInlineEvents events (every litmus test of the
+/// suites) keep their N one-word rows inline, so building, copying and
+/// combining relations never allocates; larger universes spill to a heap
+/// vector. Copies touch only the words in use.
 class Relation {
 public:
+  /// Universes up to this size are stored inline, one word per row.
+  static constexpr unsigned kInlineEvents = 64;
+
   Relation() = default;
-  explicit Relation(unsigned UniverseSize)
-      : N(UniverseSize), WordsPerRow((UniverseSize + 63) / 64),
-        Bits(std::size_t(N) * WordsPerRow, 0) {}
+  explicit Relation(unsigned UniverseSize);
+
+  Relation(const Relation &RHS) { copyFrom(RHS); }
+  Relation &operator=(const Relation &RHS) {
+    if (this != &RHS)
+      copyFrom(RHS);
+    return *this;
+  }
+  /// A moved-from relation is the empty relation over the empty universe.
+  Relation(Relation &&RHS) noexcept { moveFrom(RHS); }
+  Relation &operator=(Relation &&RHS) noexcept {
+    if (this != &RHS)
+      moveFrom(RHS);
+    return *this;
+  }
 
   /// The identity relation {(i,i)}.
   static Relation identity(unsigned N);
@@ -62,6 +82,9 @@ public:
     row(A)[B / 64] &= ~(uint64_t(1) << (B % 64));
   }
 
+  /// Removes every pair (the universe stays).
+  void clear();
+
   /// Number of pairs in the relation.
   unsigned count() const;
   bool empty() const;
@@ -75,9 +98,7 @@ public:
   friend Relation operator&(Relation L, const Relation &R) { return L &= R; }
   friend Relation operator-(Relation L, const Relation &R) { return L -= R; }
 
-  bool operator==(const Relation &RHS) const {
-    return N == RHS.N && Bits == RHS.Bits;
-  }
+  bool operator==(const Relation &RHS) const;
   bool operator!=(const Relation &RHS) const { return !(*this == RHS); }
 
   /// Sequential composition: (a,c) iff exists b with (a,b) and (b,c).
@@ -95,13 +116,14 @@ public:
   /// r? = r union identity.
   Relation optional() const;
 
-  /// True iff r^+ has an empty diagonal.
+  /// True iff the relation, read as a graph, has no cycle. Peels
+  /// sources level by level (Kahn) instead of closing the relation.
   bool isAcyclic() const;
 
   /// True iff no (i,i) pair is present (does not close transitively).
   bool isIrreflexive() const;
 
-  /// Pairs (a,b) with a in Dom and b in Ran.
+  /// Pairs (a,b) with a in Dom and b in Ran: [Dom]; r; [Ran].
   Relation restricted(const Bitset &Dom, const Bitset &Ran) const;
 
   /// The set {a | exists b. (a,b)}.
@@ -128,16 +150,27 @@ public:
   }
 
 private:
-  uint64_t *row(unsigned A) {
-    return Bits.data() + std::size_t(A) * WordsPerRow;
-  }
+  bool isInline() const { return N <= kInlineEvents; }
+  /// Words in use: N rows of WordsPerRow words.
+  std::size_t numWords() const { return std::size_t(N) * WordsPerRow; }
+  uint64_t *data() { return isInline() ? Inline : Spill.data(); }
+  const uint64_t *data() const { return isInline() ? Inline : Spill.data(); }
+  uint64_t *row(unsigned A) { return data() + std::size_t(A) * WordsPerRow; }
   const uint64_t *row(unsigned A) const {
-    return Bits.data() + std::size_t(A) * WordsPerRow;
+    return data() + std::size_t(A) * WordsPerRow;
   }
+  void copyFrom(const Relation &RHS);
+  void moveFrom(Relation &RHS);
+  /// Adds (i,i) for every i.
+  void addDiagonal();
 
   unsigned N = 0;
   unsigned WordsPerRow = 0;
-  std::vector<uint64_t> Bits;
+  /// The rows when N <= kInlineEvents; only the first N words are
+  /// meaningful (and initialised).
+  uint64_t Inline[kInlineEvents];
+  /// The rows when N > kInlineEvents.
+  std::vector<uint64_t> Spill;
 };
 
 } // namespace telechat

@@ -6,8 +6,11 @@
 
 #include "support/StringUtils.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace telechat;
 
@@ -57,4 +60,47 @@ std::string telechat::strFormat(const char *Fmt, ...) {
     vsnprintf(Out.data(), Out.size() + 1, Fmt, ArgsCopy);
   va_end(ArgsCopy);
   return Out;
+}
+
+bool telechat::detail::parseIntegerText(std::string_view Text, bool AllowNeg,
+                                        bool &Neg, uint64_t &Magnitude) {
+  Neg = !Text.empty() && Text.front() == '-';
+  if (Neg) {
+    if (!AllowNeg)
+      return false;
+    Text.remove_prefix(1);
+  }
+  // strtoull would skip whitespace and accept a sign; refuse both.
+  if (Text.empty() || Text.front() < '0' || Text.front() > '9')
+    return false;
+  std::string Buf(Text);
+  char *End = nullptr;
+  errno = 0;
+  unsigned long long V = strtoull(Buf.c_str(), &End, 0);
+  if (errno == ERANGE || End != Buf.c_str() + Buf.size())
+    return false;
+  Magnitude = V;
+  return true;
+}
+
+bool telechat::detail::parseFiniteText(std::string_view Text, double &Out) {
+  if (Text.empty())
+    return false;
+  char C = Text.front();
+  if (!(C == '-' || C == '.' || (C >= '0' && C <= '9')))
+    return false;
+  std::string Buf(Text);
+  char *End = nullptr;
+  errno = 0;
+  double V = strtod(Buf.c_str(), &End);
+  if (errno == ERANGE || End != Buf.c_str() + Buf.size() || !std::isfinite(V))
+    return false;
+  Out = V;
+  return true;
+}
+
+void telechat::detail::reportBadNumber(const char *Flag, const char *Text,
+                                       const std::string &Range) {
+  fprintf(stderr, "error: %s expects %s, got '%s'\n", Flag, Range.c_str(),
+          Text);
 }

@@ -28,6 +28,9 @@
 
 namespace telechat {
 
+/// Upper bound of every user-facing jobs knob (the tools' -j flags).
+constexpr unsigned kMaxJobs = 4096;
+
 /// Resolves a user-facing jobs knob: 0 means "one per hardware thread",
 /// anything else is taken literally (floored at 1).
 inline unsigned resolveJobs(unsigned Requested) {

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <thread>
 
@@ -258,6 +260,302 @@ TEST_P(RelationPropertyTest, StarEqualsPlusUnionId) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RelationPropertyTest,
                          testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
+// --- Differential test against a naive pair-set model. ---
+//
+// Relation and Bitset store universes of at most 64 events inline (one
+// word per row) and spill larger ones to the heap. Every operator is
+// checked against std::set models at sizes on both sides of that
+// boundary, so the two representations and the single-word kernels
+// cannot drift from the plain definitions.
+
+namespace {
+
+using PairSet = std::set<std::pair<unsigned, unsigned>>;
+using IdSet = std::set<unsigned>;
+
+PairSet pairsOf(const Relation &R) {
+  PairSet Out;
+  R.forEach([&](unsigned A, unsigned B) { Out.emplace(A, B); });
+  return Out;
+}
+
+IdSet idsOf(const Bitset &S) {
+  IdSet Out;
+  S.forEach([&](unsigned I) { Out.insert(I); });
+  return Out;
+}
+
+/// A random relation together with its model; density varies per call so
+/// sparse, dense and empty rows all occur.
+struct ModelRel {
+  Relation R;
+  PairSet M;
+};
+
+ModelRel randomModelRel(std::mt19937_64 &Rng, unsigned N) {
+  std::uniform_real_distribution<double> Dist(0.0, 1.0);
+  double Density = Dist(Rng) * (N > 8 ? 4.0 / N : 0.5);
+  ModelRel Out{Relation(N), {}};
+  for (unsigned A = 0; A != N; ++A)
+    for (unsigned B = 0; B != N; ++B)
+      if (Dist(Rng) < Density) {
+        Out.R.set(A, B);
+        Out.M.emplace(A, B);
+      }
+  return Out;
+}
+
+Bitset randomSet(std::mt19937_64 &Rng, unsigned N, IdSet &Model) {
+  std::bernoulli_distribution Coin(0.4);
+  Bitset S(N);
+  Model.clear();
+  for (unsigned I = 0; I != N; ++I)
+    if (Coin(Rng)) {
+      S.set(I);
+      Model.insert(I);
+    }
+  return S;
+}
+
+PairSet naiveSeq(const PairSet &L, const PairSet &R) {
+  PairSet Out;
+  for (auto [A, B] : L)
+    for (auto [C, D] : R)
+      if (B == C)
+        Out.emplace(A, D);
+  return Out;
+}
+
+/// r^+ by a graph search from every node: (a,b) iff b is reachable
+/// from a in one or more steps.
+PairSet naiveClosure(const PairSet &R) {
+  std::map<unsigned, std::vector<unsigned>> Succ;
+  for (auto [A, B] : R)
+    Succ[A].push_back(B);
+  PairSet Out;
+  for (const auto &Entry : Succ) {
+    unsigned From = Entry.first;
+    std::vector<unsigned> Work = Entry.second;
+    while (!Work.empty()) {
+      unsigned B = Work.back();
+      Work.pop_back();
+      if (!Out.emplace(From, B).second)
+        continue;
+      auto It = Succ.find(B);
+      if (It != Succ.end())
+        Work.insert(Work.end(), It->second.begin(), It->second.end());
+    }
+  }
+  return Out;
+}
+
+PairSet withDiagonal(PairSet R, unsigned N) {
+  for (unsigned I = 0; I != N; ++I)
+    R.emplace(I, I);
+  return R;
+}
+
+class RelationDifferentialTest : public testing::TestWithParam<unsigned> {};
+
+constexpr unsigned kRounds = 6;
+
+} // namespace
+
+TEST_P(RelationDifferentialTest, SetAlgebra) {
+  const unsigned N = GetParam();
+  std::mt19937_64 Rng(N * 7919 + 1);
+  for (unsigned Round = 0; Round != kRounds; ++Round) {
+    ModelRel A = randomModelRel(Rng, N), B = randomModelRel(Rng, N);
+    PairSet Union = A.M, Inter, Diff;
+    Union.insert(B.M.begin(), B.M.end());
+    for (auto P : A.M)
+      (B.M.count(P) ? Inter : Diff).insert(P);
+    EXPECT_EQ(pairsOf(A.R | B.R), Union);
+    EXPECT_EQ(pairsOf(A.R & B.R), Inter);
+    EXPECT_EQ(pairsOf(A.R - B.R), Diff);
+    EXPECT_EQ(A.R.count(), A.M.size());
+    EXPECT_EQ(A.R.empty(), A.M.empty());
+    EXPECT_EQ(A.R == B.R, A.M == B.M);
+    EXPECT_EQ(A.R == A.R, true);
+    std::vector<std::pair<unsigned, unsigned>> Pairs(A.M.begin(), A.M.end());
+    EXPECT_EQ(A.R.pairs(), Pairs);
+    for (auto [X, Y] : A.M)
+      EXPECT_TRUE(A.R.test(X, Y));
+    Relation Cleared = A.R;
+    Cleared.clear();
+    EXPECT_TRUE(Cleared.empty());
+    EXPECT_EQ(Cleared.universeSize(), N);
+  }
+}
+
+TEST_P(RelationDifferentialTest, CompositionAndClosures) {
+  const unsigned N = GetParam();
+  std::mt19937_64 Rng(N * 104729 + 3);
+  for (unsigned Round = 0; Round != kRounds; ++Round) {
+    ModelRel A = randomModelRel(Rng, N), B = randomModelRel(Rng, N);
+    EXPECT_EQ(pairsOf(A.R.seq(B.R)), naiveSeq(A.M, B.M));
+    PairSet Inv;
+    for (auto [X, Y] : A.M)
+      Inv.emplace(Y, X);
+    EXPECT_EQ(pairsOf(A.R.inverse()), Inv);
+    PairSet Plus = naiveClosure(A.M);
+    EXPECT_EQ(pairsOf(A.R.transitiveClosure()), Plus);
+    EXPECT_EQ(pairsOf(A.R.reflexiveTransitiveClosure()), withDiagonal(Plus, N));
+    EXPECT_EQ(pairsOf(A.R.optional()), withDiagonal(A.M, N));
+    bool DiagonalEmpty = true, Irreflexive = true;
+    for (unsigned I = 0; I != N; ++I) {
+      DiagonalEmpty &= !Plus.count({I, I});
+      Irreflexive &= !A.M.count({I, I});
+    }
+    EXPECT_EQ(A.R.isAcyclic(), DiagonalEmpty);
+    EXPECT_EQ(A.R.isIrreflexive(), Irreflexive);
+  }
+}
+
+TEST_P(RelationDifferentialTest, AcyclicityOnDagsAndCycles) {
+  // Random relations at these densities are almost always cyclic; build
+  // DAGs explicitly, then close a random back edge.
+  const unsigned N = GetParam();
+  if (N < 2)
+    return;
+  std::mt19937_64 Rng(N * 31 + 7);
+  std::uniform_int_distribution<unsigned> Pick(0, N - 1);
+  for (unsigned Round = 0; Round != kRounds; ++Round) {
+    std::vector<unsigned> Order(N);
+    for (unsigned I = 0; I != N; ++I)
+      Order[I] = I;
+    std::shuffle(Order.begin(), Order.end(), Rng);
+    Relation Dag(N);
+    PairSet M;
+    for (unsigned E = 0; E != 2 * N; ++E) {
+      unsigned X = Pick(Rng), Y = Pick(Rng);
+      if (X == Y)
+        continue;
+      if (X > Y)
+        std::swap(X, Y);
+      Dag.set(Order[X], Order[Y]);
+      M.emplace(Order[X], Order[Y]);
+    }
+    EXPECT_TRUE(Dag.isAcyclic());
+    // A path X ->+ Y plus the edge Y -> X is a cycle.
+    PairSet Plus = naiveClosure(M);
+    if (Plus.empty())
+      continue;
+    auto [X, Y] = *std::next(Plus.begin(), Pick(Rng) % Plus.size());
+    Dag.set(Y, X);
+    EXPECT_FALSE(Dag.isAcyclic());
+  }
+}
+
+TEST_P(RelationDifferentialTest, SetsAndRestriction) {
+  const unsigned N = GetParam();
+  std::mt19937_64 Rng(N * 65537 + 11);
+  for (unsigned Round = 0; Round != kRounds; ++Round) {
+    ModelRel A = randomModelRel(Rng, N);
+    IdSet DomM, RanM;
+    Bitset Dom = randomSet(Rng, N, DomM), Ran = randomSet(Rng, N, RanM);
+    PairSet Restricted, Cross, IdOn;
+    for (auto [X, Y] : A.M)
+      if (DomM.count(X) && RanM.count(Y))
+        Restricted.emplace(X, Y);
+    for (unsigned X : DomM) {
+      IdOn.emplace(X, X);
+      for (unsigned Y : RanM)
+        Cross.emplace(X, Y);
+    }
+    EXPECT_EQ(pairsOf(A.R.restricted(Dom, Ran)), Restricted);
+    EXPECT_EQ(pairsOf(Relation::cross(Dom, Ran)), Cross);
+    EXPECT_EQ(pairsOf(Relation::identityOn(Dom)), IdOn);
+    IdSet Domain, Range;
+    for (auto [X, Y] : A.M) {
+      Domain.insert(X);
+      Range.insert(Y);
+    }
+    EXPECT_EQ(idsOf(A.R.domain()), Domain);
+    EXPECT_EQ(idsOf(A.R.range()), Range);
+    EXPECT_EQ(pairsOf(Relation::identity(N)), withDiagonal({}, N));
+    EXPECT_EQ(Relation::full(N).count(), N * N);
+    // Bitset algebra against the same models.
+    IdSet U, I, D, C;
+    for (unsigned X = 0; X != N; ++X) {
+      bool InDom = DomM.count(X), InRan = RanM.count(X);
+      if (InDom || InRan)
+        U.insert(X);
+      if (InDom && InRan)
+        I.insert(X);
+      if (InDom && !InRan)
+        D.insert(X);
+      if (!InDom)
+        C.insert(X);
+    }
+    EXPECT_EQ(idsOf(Dom | Ran), U);
+    EXPECT_EQ(idsOf(Dom & Ran), I);
+    EXPECT_EQ(idsOf(Dom - Ran), D);
+    EXPECT_EQ(idsOf(Dom.complement()), C);
+    EXPECT_EQ(Dom.count(), DomM.size());
+    EXPECT_EQ(Dom.empty(), DomM.empty());
+    EXPECT_EQ(Bitset::all(N).count(), N);
+    EXPECT_EQ(Dom == Ran, DomM == RanM);
+    EXPECT_EQ(Dom.elements(), std::vector<unsigned>(DomM.begin(), DomM.end()));
+  }
+}
+
+TEST_P(RelationDifferentialTest, CopyMoveAssignAcrossSizes) {
+  // Every pair of sizes, so assignment crosses inline <-> spilled both
+  // ways; moved-from values are the empty universe and stay usable.
+  const unsigned N = GetParam();
+  std::mt19937_64 Rng(N * 977 + 5);
+  for (unsigned M : {0u, 1u, 2u, 63u, 64u, 65u, 130u}) {
+    ModelRel Src = randomModelRel(Rng, N);
+    ModelRel Dst = randomModelRel(Rng, M);
+    Relation Copy(Src.R);
+    EXPECT_EQ(pairsOf(Copy), Src.M);
+    EXPECT_EQ(Copy.universeSize(), N);
+    Dst.R = Src.R;
+    EXPECT_EQ(pairsOf(Dst.R), Src.M);
+    EXPECT_EQ(Dst.R, Src.R);
+    EXPECT_EQ(pairsOf(Src.R), Src.M); // Source untouched.
+    Relation Other = randomModelRel(Rng, M).R;
+    Other = std::move(Copy);
+    EXPECT_EQ(pairsOf(Other), Src.M);
+    EXPECT_EQ(Other.universeSize(), N);
+    EXPECT_EQ(Copy.universeSize(), 0u);
+    EXPECT_TRUE(Copy.empty());
+    Copy = Other; // A moved-from value accepts assignment.
+    EXPECT_EQ(pairsOf(Copy), Src.M);
+    Relation Moved(std::move(Other));
+    EXPECT_EQ(pairsOf(Moved), Src.M);
+    EXPECT_EQ(Other.universeSize(), 0u);
+    const Relation &Self = Moved;
+    Moved = Self;
+    EXPECT_EQ(pairsOf(Moved), Src.M);
+    // Mutating a copy leaves the original alone.
+    if (N != 0) {
+      Relation Mut = Src.R;
+      Mut.set(0, N - 1);
+      Mut.reset(N - 1, 0);
+      EXPECT_EQ(pairsOf(Src.R), Src.M);
+    }
+
+    IdSet SM, DM;
+    Bitset S = randomSet(Rng, N, SM), D = randomSet(Rng, M, DM);
+    D = S;
+    EXPECT_EQ(idsOf(D), SM);
+    EXPECT_EQ(D.universeSize(), N);
+    Bitset T = randomSet(Rng, M, DM);
+    T = std::move(D);
+    EXPECT_EQ(idsOf(T), SM);
+    EXPECT_EQ(D.universeSize(), 0u);
+    Bitset U(std::move(T));
+    EXPECT_EQ(idsOf(U), SM);
+    EXPECT_EQ(T.universeSize(), 0u);
+    EXPECT_EQ(U, S);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, RelationDifferentialTest,
+                         testing::Values(0u, 1u, 2u, 63u, 64u, 65u, 130u));
+
 TEST(StringUtilsTest, Split) {
   EXPECT_EQ(splitString("a,b,,c", ','),
             (std::vector<std::string>{"a", "b", "", "c"}));
@@ -279,6 +577,45 @@ TEST(StringUtilsTest, Format) {
   EXPECT_EQ(strFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(strFormat("%s", std::string(300, 'a').c_str()),
             std::string(300, 'a'));
+}
+
+TEST(StringUtilsTest, ParseNumberIsStrict) {
+  uint64_t U = 7;
+  EXPECT_TRUE(parseNumber("42", uint64_t(0), UINT64_MAX, U));
+  EXPECT_EQ(U, 42u);
+  EXPECT_TRUE(parseNumber("0x10", uint64_t(0), UINT64_MAX, U));
+  EXPECT_EQ(U, 16u);
+  EXPECT_TRUE(parseNumber("18446744073709551615", uint64_t(0), UINT64_MAX, U));
+  EXPECT_EQ(U, UINT64_MAX);
+  // Malformed, signed, padded, overflowing or out-of-range text is
+  // refused and leaves the output alone.
+  U = 7;
+  for (const char *Bad : {"", "abc", "4x", "-3", "+3", " 5", "5 ", "0x",
+                          "08", "1e3", "1.5", "18446744073709551616"})
+    EXPECT_FALSE(parseNumber(Bad, uint64_t(0), UINT64_MAX, U)) << Bad;
+  EXPECT_FALSE(parseNumber("0", uint64_t(1), UINT64_MAX, U));
+  EXPECT_EQ(U, 7u);
+
+  unsigned J = 0;
+  EXPECT_FALSE(parseNumber("4097", 0u, 4096u, J));
+  EXPECT_FALSE(parseNumber("4294967296", 0u, UINT32_MAX, J));
+  EXPECT_TRUE(parseNumber("4096", 0u, 4096u, J));
+  EXPECT_EQ(J, 4096u);
+
+  int P = 0;
+  EXPECT_TRUE(parseNumber("-1", -1, 65535, P));
+  EXPECT_EQ(P, -1);
+  EXPECT_FALSE(parseNumber("-2", -1, 65535, P));
+  EXPECT_FALSE(parseNumber("65536", -1, 65535, P));
+
+  double D = 0;
+  EXPECT_TRUE(parseNumber("0.5", 0.001, 1e9, D));
+  EXPECT_EQ(D, 0.5);
+  EXPECT_TRUE(parseNumber("30", 0.001, 1e9, D));
+  EXPECT_EQ(D, 30.0);
+  for (const char *Bad : {"nan", "inf", "-inf", "-1", "0", "1e10", "x",
+                          "1.5s", " 2", "+2"})
+    EXPECT_FALSE(parseNumber(Bad, 0.001, 1e9, D)) << Bad;
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndex) {

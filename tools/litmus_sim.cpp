@@ -33,7 +33,10 @@
 #include "litmus/Parser.h"
 #include "sim/CFrontend.h"
 #include "sim/Simulator.h"
+#include "support/StringUtils.h"
+#include "support/ThreadPool.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -85,6 +88,10 @@ int main(int argc, char **argv) {
     usage();
     return 1;
   }
+  if (std::string(argv[1]) == "--help" || std::string(argv[1]) == "-h") {
+    usage();
+    return 0;
+  }
   if (std::string(argv[1]) == "--serve")
     return campaignToolMain(argc, argv, usage, CampaignCliMode::SimServe);
   if (std::string(argv[1]) == "--work")
@@ -104,15 +111,13 @@ int main(int argc, char **argv) {
     if (Arg == "--model" && I + 1 < argc)
       Model = argv[++I];
     else if ((Arg == "-j" || Arg == "--jobs") && I + 1 < argc) {
-      char *End = nullptr;
-      Jobs = unsigned(strtoul(argv[++I], &End, 0));
-      if (End == argv[I] || *End != '\0') {
-        fprintf(stderr, "error: -j expects a number, got '%s'\n", argv[I]);
-        return 1;
-      }
-    } else if (Arg == "--max-steps" && I + 1 < argc)
-      MaxSteps = strtoull(argv[++I], nullptr, 0);
-    else if (Arg == "--dot")
+      if (!parseFlagNumber("-j", argv[++I], 0u, kMaxJobs, Jobs))
+        return 2;
+    } else if (Arg == "--max-steps" && I + 1 < argc) {
+      if (!parseFlagNumber("--max-steps", argv[++I], uint64_t(1), UINT64_MAX,
+                           MaxSteps))
+        return 2;
+    } else if (Arg == "--dot")
       Dot = true;
     else if (Arg == "--stats")
       Stats = true;
@@ -127,10 +132,15 @@ int main(int argc, char **argv) {
         fprintf(stderr, "error: unknown backend '%s'\n", argv[I]);
         return 1;
       }
-    } else if (Arg == "--explore-iters" && I + 1 < argc)
-      ExploreIters = strtoull(argv[++I], nullptr, 0);
-    else if (Arg == "--explore-seed" && I + 1 < argc)
-      ExploreSeed = strtoull(argv[++I], nullptr, 0);
+    } else if (Arg == "--explore-iters" && I + 1 < argc) {
+      if (!parseFlagNumber("--explore-iters", argv[++I], uint64_t(1),
+                           UINT64_MAX, ExploreIters))
+        return 2;
+    } else if (Arg == "--explore-seed" && I + 1 < argc) {
+      if (!parseFlagNumber("--explore-seed", argv[++I], uint64_t(0),
+                           UINT64_MAX, ExploreSeed))
+        return 2;
+    }
   }
   std::ifstream In(Path);
   if (!In) {

@@ -38,7 +38,10 @@
 #include "litmus/Parser.h"
 #include "litmus/Printer.h"
 #include "sim/Backend.h"
+#include "support/StringUtils.h"
+#include "support/ThreadPool.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -169,7 +172,9 @@ int mainSingle(int argc, char **argv) {
         usage();
         return 1;
       }
-      Options.Sim.ExploreBudget = strtoull(V, nullptr, 0);
+      if (!parseFlagNumber("--explore-budget", V, uint64_t(0), UINT64_MAX,
+                           Options.Sim.ExploreBudget))
+        return 2;
     } else if (Arg == "--no-prune") {
       Options.Sim.RfValuePruning = false;
     } else if (Arg == "--no-transform") {
@@ -184,26 +189,26 @@ int mainSingle(int argc, char **argv) {
         usage();
         return 1;
       }
-      FuzzSeed = strtoull(V, nullptr, 0);
+      if (!parseFlagNumber("--fuzz-seed", V, uint64_t(0), UINT64_MAX,
+                           FuzzSeed))
+        return 2;
     } else if (Arg == "--max-steps") {
       const char *V = Next();
       if (!V) {
         usage();
         return 1;
       }
-      Options.Sim.MaxSteps = strtoull(V, nullptr, 0);
+      if (!parseFlagNumber("--max-steps", V, uint64_t(1), UINT64_MAX,
+                           Options.Sim.MaxSteps))
+        return 2;
     } else if (Arg == "-j" || Arg == "--jobs") {
       const char *V = Next();
       if (!V) {
         usage();
         return 1;
       }
-      char *End = nullptr;
-      Options.Sim.Jobs = unsigned(strtoul(V, &End, 0));
-      if (End == V || *End != '\0') {
-        fprintf(stderr, "error: -j expects a number, got '%s'\n", V);
-        return 1;
-      }
+      if (!parseFlagNumber("-j", V, 0u, kMaxJobs, Options.Sim.Jobs))
+        return 2;
     } else {
       fprintf(stderr, "unknown option '%s'\n", Arg.c_str());
       usage();
