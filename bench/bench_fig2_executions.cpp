@@ -24,7 +24,6 @@
 #include "sim/Backend.h"
 #include "sim/CFrontend.h"
 #include "sim/Simulator.h"
-#include "sim/SkeletonCache.h"
 
 #include <benchmark/benchmark.h>
 
@@ -40,35 +39,25 @@ namespace {
 /// loaded values, so most rf assignments are value-inconsistent and die
 /// in the pre-fixpoint prune (the Fig. 1 test itself has no branches and
 /// exercises only the incremental-Cat axis).
-std::string gatedSource(const std::string &S) {
-  return "C gated" + S + "\n"
-         "{ *x" + S + " = 0; *y" + S + " = 0; *z" + S + " = 0; }\n"
-         "void P0" + S + "(atomic_int* x" + S + ", atomic_int* y" + S +
-         ", atomic_int* z" + S + ") {\n"
-         "  atomic_store_explicit(x" + S + ", 1, memory_order_relaxed);\n"
-         "  int r0 = atomic_load_explicit(z" + S +
-         ", memory_order_relaxed);\n"
-         "  if (r0) { atomic_store_explicit(y" + S +
-         ", 1, memory_order_relaxed); }\n"
-         "  else { atomic_store_explicit(y" + S +
-         ", 2, memory_order_relaxed); }\n"
-         "}\n"
-         "void P1" + S + "(atomic_int* x" + S + ", atomic_int* y" + S +
-         ", atomic_int* z" + S + ") {\n"
-         "  int r0 = atomic_load_explicit(x" + S +
-         ", memory_order_relaxed);\n"
-         "  if (r0) { atomic_store_explicit(z" + S +
-         ", 1, memory_order_relaxed); }\n"
-         "  int r1 = atomic_load_explicit(y" + S +
-         ", memory_order_relaxed);\n"
-         "  if (r1 - 2) { atomic_store_explicit(z" + S +
-         ", 2, memory_order_relaxed); }\n"
-         "}\n"
-         "exists (P1" + S + ":r1=1 /\\ P0" + S + ":r0=2)\n";
+const char *const GatedSource = R"(C gated
+{ *x = 0; *y = 0; *z = 0; }
+void P0(atomic_int* x, atomic_int* y, atomic_int* z) {
+  atomic_store_explicit(x, 1, memory_order_relaxed);
+  int r0 = atomic_load_explicit(z, memory_order_relaxed);
+  if (r0) { atomic_store_explicit(y, 1, memory_order_relaxed); }
+  else { atomic_store_explicit(y, 2, memory_order_relaxed); }
 }
+void P1(atomic_int* x, atomic_int* y, atomic_int* z) {
+  int r0 = atomic_load_explicit(x, memory_order_relaxed);
+  if (r0) { atomic_store_explicit(z, 1, memory_order_relaxed); }
+  int r1 = atomic_load_explicit(y, memory_order_relaxed);
+  if (r1 - 2) { atomic_store_explicit(z, 2, memory_order_relaxed); }
+}
+exists (P1:r1=1 /\ P0:r0=2)
+)";
 
-SimProgram gatedProgram(const std::string &Suffix = "") {
-  ErrorOr<LitmusTest> T = parseLitmusC(gatedSource(Suffix));
+SimProgram gatedProgram() {
+  ErrorOr<LitmusTest> T = parseLitmusC(GatedSource);
   if (!T) {
     fprintf(stderr, "fatal: gated workload fails to parse: %s\n",
             T.error().c_str());
@@ -262,46 +251,6 @@ BENCHMARK(BM_BackendCrossover)
     ->Args({20, 1})
     ->Unit(benchmark::kMicrosecond);
 
-/// Cross-test memoization over a renamed corpus: 16 copies of the gated
-/// workload with fresh names -- the canonical-duplicate shape diy
-/// corpora are full of. Arg 0 runs them all cold (cache disabled); arg
-/// 1 with the skeleton cache on, so the first copy misses and the other
-/// fifteen reuse its skeletons/prune data/Cat layers. The exported
-/// hit/miss counters let the bench JSON track reuse over time.
-void BM_SkeletonCacheReuse(benchmark::State &State) {
-  const unsigned N = 16;
-  std::vector<SimProgram> Progs;
-  for (unsigned I = 0; I != N; ++I)
-    Progs.push_back(gatedProgram(I ? "_" + std::to_string(I) : ""));
-  auto &SC = simcore::SkeletonCache::instance();
-  const bool CacheOn = State.range(0) != 0;
-  SimOptions Opts;
-  uint64_t Hits = 0, Misses = 0;
-  for (auto _ : State) {
-    State.PauseTiming();
-    SC.setCapacity(0); // drop entries from the previous iteration
-    SC.setCapacity(CacheOn ? 256 : 0);
-    State.ResumeTiming();
-    uint64_t H = 0, M = 0;
-    for (const SimProgram &P : Progs) {
-      SimResult R = simulateProgram(P, "rc11", Opts);
-      H += R.Stats.SkelCacheHits;
-      M += R.Stats.SkelCacheMisses;
-      benchmark::DoNotOptimize(R.Allowed.size());
-    }
-    Hits = H;
-    Misses = M;
-  }
-  SC.setCapacity(0);
-  State.counters["tests"] = double(N);
-  State.counters["skel_cache_hits"] = double(Hits);
-  State.counters["skel_cache_misses"] = double(Misses);
-}
-BENCHMARK(BM_SkeletonCacheReuse)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
-
 /// Whole-family enumeration over the realworld suite: every sweep point
 /// of one family, generated and swept per iteration -- the per-family
 /// cost a `--suite realworld` campaign pays. Arg: family index into
@@ -413,30 +362,6 @@ int main(int argc, char **argv) {
            static_cast<unsigned long long>(SoBig.Stats.SolveConflicts),
            static_cast<unsigned long long>(SoBig.Stats.SolveClauses));
     Identical = Identical && Same && Crossover;
-  }
-
-  // The skeleton cache's contract, gated the same way: a renamed copy
-  // served warm out of the cache produces the outcomes it would have
-  // produced cold, and the warm run actually hits.
-  {
-    auto &SC = simcore::SkeletonCache::instance();
-    SimProgram Copy = gatedProgram("_gate");
-    SimOptions Opts;
-    SC.setCapacity(0);
-    SimResult Cold = simulateProgram(Copy, "rc11", Opts);
-    SC.setCapacity(256);
-    SimResult Seed = simulateProgram(gatedProgram(), "rc11", Opts);
-    SimResult Warm = simulateProgram(Copy, "rc11", Opts);
-    SC.setCapacity(0);
-    bool Same = Warm.Allowed == Cold.Allowed && Warm.Flags == Cold.Flags &&
-                Warm.Stats.SkelCacheMisses == 0 &&
-                Warm.Stats.SkelCacheHits == Seed.Stats.SkelCacheMisses;
-    printf("skeleton cache: warm renamed copy vs cold: %s "
-           "(misses %llu -> hits %llu)\n",
-           Same ? "identical" : "DIFFERENT!",
-           static_cast<unsigned long long>(Seed.Stats.SkelCacheMisses),
-           static_cast<unsigned long long>(Warm.Stats.SkelCacheHits));
-    Identical = Identical && Same;
   }
 
   // Realworld suite gate: the corpus keeps its promised scale and the

@@ -16,7 +16,6 @@
 #include "diy/RealWorld.h"
 #include "litmus/Snippet.h"
 #include "sim/Backend.h"
-#include "sim/SkeletonCache.h"
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
 
@@ -116,8 +115,19 @@ bool writeJson(const std::string &Path, const std::string &Contents) {
   return true;
 }
 
+/// The exit status of a campaign without bugs: 1 when any unit errored
+/// or timed out, since a campaign that did less work than asked must
+/// not read as clean; else 0.
+int incompleteExit(size_t Errors, size_t Timeouts) {
+  if (!Errors && !Timeouts)
+    return 0;
+  fprintf(stderr, "error: campaign incomplete: %zu errors, %zu timeouts\n",
+          Errors, Timeouts);
+  return 1;
+}
+
 /// Pipeline-campaign summary (bug table); exit 2 on bugs, like
-/// single-test mode.
+/// single-test mode, else incompleteExit.
 int summarisePipeline(const std::vector<CampaignUnitMeta> &Units,
                       const std::vector<TelechatResult> &Results) {
   size_t Bugs = 0, Errors = 0, Timeouts = 0;
@@ -136,21 +146,27 @@ int summarisePipeline(const std::vector<CampaignUnitMeta> &Units,
   }
   printf("campaign: %zu units, %zu bugs, %zu errors, %zu timeouts\n",
          Results.size(), Bugs, Errors, Timeouts);
-  return Bugs ? 2 : 0;
+  return Bugs ? 2 : incompleteExit(Errors, Timeouts);
 }
 
-/// Simulation-only summary: herd-style state counts per test.
+/// Simulation-only summary: herd-style state counts per test; exit
+/// status by incompleteExit.
 int summariseSim(const std::vector<CampaignUnitMeta> &Units,
                  const std::vector<TelechatResult> &Results) {
+  size_t Errors = 0, Timeouts = 0;
   for (size_t I = 0; I != Results.size(); ++I) {
     const SimResult &R = Results[I].SourceSim;
+    if (!Results[I].ok())
+      ++Errors;
+    else if (Results[I].timedOut())
+      ++Timeouts;
     std::string Suffix = R.ok() ? "" : " ERROR: " + R.Error;
     printf("%-28s %zu states%s%s\n",
            I < Units.size() ? Units[I].TestName.c_str() : "?",
            R.Allowed.size(), R.TimedOut ? " TIMEOUT" : "",
            Suffix.c_str());
   }
-  return 0;
+  return incompleteExit(Errors, Timeouts);
 }
 
 } // namespace
@@ -171,8 +187,6 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
   std::string CampaignJsonPath, EngineJsonPath;
   WorkServerOptions ServerOpts;
   bool Dedupe = false;
-  bool SkelCacheSet = false;
-  size_t SkelCacheCap = 0;
   bool Verbose = false;
   int I = 2;
   if (Serve) {
@@ -371,15 +385,6 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
         return 2;
     } else if (Arg == "--dedupe") {
       Dedupe = true;
-    } else if (Arg == "--skel-cache") {
-      if (!(V = Next())) {
-        Usage();
-        return 1;
-      }
-      SkelCacheSet = true;
-      if (!parseFlagNumber("--skel-cache", V, size_t(0), SIZE_MAX,
-                           SkelCacheCap))
-        return 2;
     } else if (Arg == "--verbose") {
       Verbose = true;
     } else {
@@ -500,12 +505,6 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
   std::vector<CampaignUnitMeta> Meta;
   std::vector<TelechatResult> Results;
   uint64_t Deduped = 0;
-
-  // The skeleton cache is process-wide; the knob matters to whoever
-  // *executes* units (the local pool here, --work workers in the served
-  // modes, where setting it is harmless but idle).
-  if (SkelCacheSet)
-    simcore::SkeletonCache::instance().setCapacity(SkelCacheCap);
 
   std::string ServeError;
 

@@ -51,7 +51,7 @@ constexpr uint32_t JournalMagic = 0x4C4A4354;
 /// Bumped on any record layout change; readJournal refuses other
 /// versions (a resumed campaign must replay exactly what the crashed
 /// server wrote, so "best effort" cross-version replay would be a bug).
-constexpr uint16_t JournalVersion = 5;
+constexpr uint16_t JournalVersion = 6;
 
 /// Record tags.
 enum class JournalRec : uint8_t {

@@ -392,9 +392,6 @@ void telechat::encodeSimStats(WireBuffer &B, const SimStats &S) {
   B.appendU64(S.SolvePropagations);
   B.appendU64(S.SolveConflicts);
   B.appendU64(S.SolveClauses);
-  B.appendU64(S.SkelCacheHits);
-  B.appendU64(S.SkelCacheMisses);
-  B.appendU64(S.SkelCacheEvictions);
   B.appendU64(S.ExploreIterations);
   B.appendU64(S.ExploreSchedules);
   B.appendU64(S.ExploreOutcomesFound);
@@ -417,9 +414,6 @@ bool telechat::decodeSimStats(WireCursor &C, SimStats &S) {
   S.SolvePropagations = C.readU64();
   S.SolveConflicts = C.readU64();
   S.SolveClauses = C.readU64();
-  S.SkelCacheHits = C.readU64();
-  S.SkelCacheMisses = C.readU64();
-  S.SkelCacheEvictions = C.readU64();
   S.ExploreIterations = C.readU64();
   S.ExploreSchedules = C.readU64();
   S.ExploreOutcomesFound = C.readU64();

@@ -11,7 +11,6 @@
 #include "dist/Serialize.h"
 #include "dist/Socket.h"
 #include "dist/Wire.h"
-#include "sim/SkeletonCache.h"
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
 
@@ -52,14 +51,6 @@ int telechat::workerToolMain(int argc, char **argv, void (*Usage)()) {
       if (!parseFlagNumber("--max-units", V, uint64_t(0), UINT64_MAX,
                            Opts.KillAfterResults))
         return 2;
-    } else if (Arg == "--skel-cache" && V) {
-      ++I;
-      // Per-combo artifacts shared across this worker's units
-      // (sim/SkeletonCache.h); 0 (the default) disables.
-      size_t Cap = 0;
-      if (!parseFlagNumber("--skel-cache", V, size_t(0), SIZE_MAX, Cap))
-        return 2;
-      simcore::SkeletonCache::instance().setCapacity(Cap);
     } else if (Arg == "--verbose") {
       Opts.Verbose = true;
     } else {

@@ -37,7 +37,6 @@
 
 #include "sim/AbsDomain.h"
 #include "sim/Enumerator.h"
-#include "sim/SkeletonCache.h"
 #include "support/Interner.h"
 
 #include <atomic>
@@ -150,15 +149,6 @@ struct SharedState {
   bool ShareLayerCache = false;
   std::mutex LayerM;
   std::map<uint64_t, std::shared_ptr<const CatStableLayer>> Layers;
-
-  /// Process-wide skeleton-cache run context, set once by the backend
-  /// drivers when SkeletonCache is enabled. The snapshot pins which
-  /// cache entries this run may see (inserted strictly before it), so
-  /// hit/miss verdicts are identical for every worker and job count.
-  bool SkelCacheEnabled = false;
-  uint64_t SkelSnapshot = 0;
-  uint64_t ProgHashHi = 0, ProgHashLo = 0; ///< hashSimProgram of the run.
-  uint64_t ModelHash = 0;                  ///< hashCatModel of the run.
 
   bool stopped() const {
     return TimedOut.load(std::memory_order_relaxed) ||
@@ -330,16 +320,6 @@ public:
   bool ComboInfeasibleBaseline = false;
   uint64_t ComboRfSourcesPrunedCopy = 0;
   uint64_t ComboRfSourcesPrunedXform = 0;
-  // Skeleton-cache state of the prepared combo (sim/SkeletonCache.h).
-  // Hit/miss are folded into the stats by accountCombo (once per combo);
-  // the cached layer feeds bindComboEvaluator, and the key lets
-  // publishLayer() upgrade the process entry once the layer exists.
-  bool ComboCacheHit = false;
-  bool ComboCacheMiss = false;
-  uint64_t ComboCacheEvictions = 0;
-  SkelCacheKey ComboCacheKey;
-  bool ComboCacheKeyValid = false;
-  std::shared_ptr<const CatStableLayer> ComboCachedLayer;
 
   // Per rf-candidate state; every buffer keeps its capacity across
   // candidates, so the candidate loop does not allocate.
@@ -401,10 +381,6 @@ public:
   /// Resolves the prepared combo's registers, locations and
   /// expressions to indices (ThreadPlans).
   void compileCombo();
-  /// Per-combo tail shared by the computed and the cached skeleton:
-  /// init-write table, compileCombo, and the candidate execution reset
-  /// to the skeleton.
-  void finishCombo();
   /// Compiles PruneChecks into CheckPool/CheckRoots.
   void compileChecks();
   /// Drops the combo's prune checks.

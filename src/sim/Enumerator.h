@@ -183,21 +183,6 @@ struct SimStats {
   /// layer instead of being recomputed per candidate -- the work a
   /// non-incremental evaluator would have done.
   uint64_t CatEvalsAvoided = 0;
-  // --- Process-wide skeleton-cache counters (sim/SkeletonCache.h; all
-  // zero while the cache is disabled, which is the default). Outcomes
-  // are byte-identical with the cache on or off; a hit only skips
-  // recomputing per-combo artifacts the cache already holds.
-  /// Path combos whose artifacts were served from the process-wide
-  /// cache. Deterministic per run regardless of Jobs: lookups see only
-  /// entries inserted before the run started (snapshot semantics).
-  uint64_t SkelCacheHits = 0;
-  /// Path combos computed and offered to the cache (j-invariant like
-  /// hits).
-  uint64_t SkelCacheMisses = 0;
-  /// Entries this run's inserts evicted. The one scheduling-dependent
-  /// cache counter: whichever worker performs the insert pays the
-  /// eviction, so identity gates must not compare it across job counts.
-  uint64_t SkelCacheEvictions = 0;
   // --- Solver-only work counters (src/solve/; zero under the sweep).
   // Deterministic for a fixed (program, model, options) on completed
   // runs regardless of Jobs, like every other counter here.

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Pins the canonical form of litmus/Canon.h, the identity that corpus
-/// dedupe and the cross-test skeleton cache key on:
+/// dedupe keys on:
 ///
 ///   - idempotence: canonicalizing the canonical test reproduces the
 ///     exact Text and Key;

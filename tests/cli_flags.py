@@ -9,10 +9,17 @@ silently became a zero budget (every unit timed out, "0 bugs", exit 0),
 `-j -3` wrapped to four billion threads and died in std::bad_alloc, and
 `--lease-timeout nan` was accepted.
 
+It also pins the exit codes that keep a short-changed run from reading
+as clean: a campaign in which any unit errored or timed out exits 1
+(2 still wins when a bug was found), and so does a single litmus-sim
+run whose step budget ran out. Removed options stay removed: they are
+refused as unknown, never silently ignored.
+
 Usage: cli_flags.py <telechat> <litmus-sim>
 """
 
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -73,6 +80,26 @@ def main():
         expect(camp + ["--max-steps", "99999999999999999999999"], 2,
                "--max-steps")
         expect(camp + ["--max-steps", "0"], 2, "--max-steps")
+        # A well-formed budget too small to finish any unit: every unit
+        # times out, and the campaign must not read as clean.
+        expect(camp + ["--max-steps", "1"], 1, "19 timeouts")
+        expect(camp + ["--max-steps", "1"], 1,
+               "error: campaign incomplete: 0 errors, 19 timeouts")
+        # The skeleton cache is gone; its knob is an unknown option on
+        # every CLI that used to take it.
+        expect(camp + ["--skel-cache", "16"], 1, "--skel-cache")
+        expect([telechat, "--work", "127.0.0.1:1", "--skel-cache", "16"], 1,
+               "--skel-cache")
+        expect([litmus_sim, "--work", "127.0.0.1:1", "--skel-cache", "16"],
+               1, "--skel-cache")
+        # A journal written by an older build (layout version 5) is
+        # refused on resume, naming both versions.
+        old_journal = os.path.join(tmp, "v5.journal")
+        header = struct.pack("<IH", 0x4C4A4354, 5)
+        with open(old_journal, "wb") as f:
+            f.write(struct.pack("<IB", len(header) + 1, 1) + header)
+        expect([telechat, "--campaign", "--resume", "--journal", old_journal],
+               1, "journal version mismatch: file 5, reader ")
         # Server knobs are refused before anything binds.
         serve = [telechat, "--serve", "0", "--classics",
                  "--profile", "llvm-O2-AArch64"]
@@ -98,6 +125,9 @@ def main():
         expect([litmus_sim, mp, "--max-steps", "1e3"], 2, "--max-steps")
         expect([litmus_sim, mp, "--explore-seed", "seven"], 2,
                "--explore-seed")
+        # An exhausted budget is not an answer.
+        expect([litmus_sim, mp, "--max-steps", "1"], 1,
+               "TIMEOUT (budget exhausted)")
         # Well-formed values still work, in every notation parseNumber
         # accepts (decimal, 0x hex).
         expect([litmus_sim, mp, "-j", "2", "--max-steps", "0x1000"], 0,

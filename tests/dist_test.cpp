@@ -28,6 +28,7 @@
 #include "litmus/Snippet.h"
 #include "sim/Backend.h"
 #include "sim/Simulator.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -675,19 +676,27 @@ TEST(LoopbackCampaignTest, VersionMismatchIsRefused) {
   uint16_t Port = Server.port();
   std::thread Srv([&] { Server.run(); });
 
-  ErrorOr<TcpSocket> Bad = tcpConnect("127.0.0.1", Port, 5.0);
-  ASSERT_TRUE(Bad.hasValue()) << Bad.error();
-  WireBuffer B;
-  B.appendU32(WireMagic);
-  B.appendU16(WireVersion + 1); // From the future.
-  B.appendU32(1);
-  ASSERT_TRUE(sendFrame(*Bad, uint8_t(Msg::Hello), B));
-  ErrorOr<Frame> Reply = recvFrame(*Bad);
-  ASSERT_TRUE(Reply.hasValue()) << Reply.error();
-  EXPECT_EQ(Reply->Type, uint8_t(Msg::Error));
-  WireCursor C(Reply->Payload);
-  EXPECT_NE(C.readString().find("version mismatch"), std::string::npos);
-  Bad->close();
+  // A worker from the past and one from the future are both refused,
+  // and the refusal names both versions.
+  for (uint16_t Skewed : {uint16_t(WireVersion - 1),
+                          uint16_t(WireVersion + 1)}) {
+    ErrorOr<TcpSocket> Bad = tcpConnect("127.0.0.1", Port, 5.0);
+    ASSERT_TRUE(Bad.hasValue()) << Bad.error();
+    WireBuffer B;
+    B.appendU32(WireMagic);
+    B.appendU16(Skewed);
+    B.appendU32(1);
+    ASSERT_TRUE(sendFrame(*Bad, uint8_t(Msg::Hello), B));
+    ErrorOr<Frame> Reply = recvFrame(*Bad);
+    ASSERT_TRUE(Reply.hasValue()) << Reply.error();
+    EXPECT_EQ(Reply->Type, uint8_t(Msg::Error));
+    WireCursor C(Reply->Payload);
+    EXPECT_NE(C.readString().find(
+                  strFormat("version mismatch: server %u, worker %u",
+                            unsigned(WireVersion), unsigned(Skewed))),
+              std::string::npos);
+    Bad->close();
+  }
 
   // A well-versioned worker still completes the campaign.
   WorkerOptions WOpts;
@@ -1117,15 +1126,21 @@ TEST(JournalTest, HostileJournalsAreRejected) {
     EXPECT_FALSE(readJournal(Path).hasValue());
   }
 
-  // Version skew: a journal from the future is refused, not misparsed.
-  {
+  // Version skew: a journal from the past or the future is refused, not
+  // misparsed, and the refusal names both versions.
+  for (uint16_t Skewed : {uint16_t(JournalVersion - 1),
+                          uint16_t(JournalVersion + 1)}) {
     WireBuffer B;
     B.appendU32(JournalMagic);
-    B.appendU16(JournalVersion + 1);
+    B.appendU16(Skewed);
     WriteBytes(Framed(JournalRec::Header, B));
     ErrorOr<JournalContents> J = readJournal(Path);
     ASSERT_FALSE(J.hasValue());
-    EXPECT_NE(J.error().find("version mismatch"), std::string::npos);
+    EXPECT_NE(J.error().find(strFormat("version mismatch: file %u, reader %u",
+                                       unsigned(Skewed),
+                                       unsigned(JournalVersion))),
+              std::string::npos)
+        << J.error();
   }
 
   // First record is not a header.

@@ -21,7 +21,6 @@
 #include "sim/Backend.h"
 #include "sim/CFrontend.h"
 #include "sim/Simulator.h"
-#include "sim/SkeletonCache.h"
 
 #include <gtest/gtest.h>
 
@@ -46,59 +45,6 @@ struct FuzzCase {
 };
 
 class MetamorphicTest : public testing::TestWithParam<FuzzCase> {};
-
-/// Restores the process-wide skeleton cache to its disabled default even
-/// when an ASSERT bails out of a test body early.
-struct SkelCacheGuard {
-  ~SkelCacheGuard() { simcore::SkeletonCache::instance().setCapacity(0); }
-};
-
-void suffixExpr(Expr &E) {
-  if (E.K == Expr::Kind::Reg)
-    E.RegName += "_d";
-  for (Expr &Op : E.Ops)
-    suffixExpr(Op);
-}
-
-void suffixBody(std::vector<Stmt> &Body) {
-  for (Stmt &S : Body) {
-    if (!S.Dst.empty())
-      S.Dst += "_d";
-    if (!S.Loc.empty())
-      S.Loc += "_d";
-    suffixExpr(S.Val);
-    suffixExpr(S.Cond);
-    suffixBody(S.Then);
-    suffixBody(S.Else);
-  }
-}
-
-void suffixPredicate(Predicate &P) {
-  if (P.K == Predicate::Kind::Atom) {
-    P.A.Name += "_d";
-    if (P.A.K == PredAtom::Kind::RegEq)
-      P.A.Thread += "_d";
-  }
-  for (Predicate &Op : P.Ops)
-    suffixPredicate(Op);
-}
-
-/// A renamed duplicate of \p T with every location, thread and register
-/// name suffixed -- same structure, same thread order, different names.
-/// Structurally identical programs share skeleton-cache keys, so the
-/// duplicate's cold run must hit everything the original inserted.
-LitmusTest suffixRenamed(const LitmusTest &T) {
-  LitmusTest D = T;
-  D.Name = T.Name + "_dup";
-  for (LocDecl &L : D.Locations)
-    L.Name += "_d";
-  for (Thread &Th : D.Threads) {
-    Th.Name += "_d";
-    suffixBody(Th.Body);
-  }
-  suffixPredicate(D.Final.P);
-  return D;
-}
 
 } // namespace
 
@@ -315,145 +261,6 @@ TEST(FuzzTest, BackendDifferentialBattery) {
         << What;
   }
   EXPECT_GT(Compared, 100u);
-}
-
-TEST(FuzzTest, SkeletonCacheDifferentialBattery) {
-  // The cross-test skeleton cache (sim/SkeletonCache.h) must be
-  // invisible in the outcomes: for 200 generated seeds, the outcome set
-  // with the cache enabled -- cold or warm, -j1 or -j4, sweep or solve
-  // -- is byte-identical to the cache-off reference. The counters are
-  // pinned exactly: a run against a cleared cache hits nothing (snapshot
-  // semantics hide same-run inserts), a repeat run hits everything the
-  // first run missed, and both counts are Jobs-invariant.
-  SkelCacheGuard Guard;
-  auto &SC = simcore::SkeletonCache::instance();
-  unsigned Compared = 0;
-  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
-    RandomGenOptions G;
-    G.Seed = Seed;
-    G.Count = 1;
-    G.MaxEdges = 8;
-    std::vector<LitmusTest> Tests = generateRandomTests(G);
-    if (Tests.empty())
-      continue; // attempt budget exhausted: nothing to compare
-    const LitmusTest &T = Tests.front();
-    std::string What = "seed " + std::to_string(Seed) + "\n" +
-                       printLitmusC(T);
-
-    // Cache-off reference: no lookups, no counters.
-    SC.setCapacity(0);
-    SimResult Ref = simulateC(T, "rc11");
-    ASSERT_TRUE(Ref.ok()) << What << Ref.Error;
-    ASSERT_FALSE(Ref.TimedOut) << What;
-    EXPECT_EQ(Ref.Stats.SkelCacheHits + Ref.Stats.SkelCacheMisses, 0u)
-        << What;
-    std::string Expect = outcomeSetToString(Ref.Allowed);
-    ++Compared;
-
-    struct Config {
-      SimBackendKind Backend;
-      unsigned Jobs;
-    };
-    const Config Configs[] = {{SimBackendKind::Sweep, 1},
-                              {SimBackendKind::Sweep, 4},
-                              {SimBackendKind::Solve, 1},
-                              {SimBackendKind::Solve, 4}};
-    uint64_t SweepMisses = 0, SolveMisses = 0;
-    for (const Config &C : Configs) {
-      SimOptions O;
-      O.Backend = C.Backend;
-      O.Jobs = C.Jobs;
-      std::string Where = What + "\nbackend=" +
-                          (C.Backend == SimBackendKind::Solve ? "solve"
-                                                              : "sweep") +
-                          " -j" + std::to_string(C.Jobs);
-      SC.clear();
-      SC.setCapacity(256);
-      SimResult R1 = simulateC(T, "rc11", O); // cold: misses only
-      SimResult R2 = simulateC(T, "rc11", O); // warm: hits only
-      EXPECT_EQ(outcomeSetToString(R1.Allowed), Expect) << Where;
-      EXPECT_EQ(outcomeSetToString(R2.Allowed), Expect) << Where;
-      EXPECT_EQ(R1.Flags, Ref.Flags) << Where;
-      EXPECT_EQ(R2.Flags, Ref.Flags) << Where;
-      EXPECT_EQ(R1.Stats.SkelCacheHits, 0u) << Where;
-      EXPECT_GT(R1.Stats.SkelCacheMisses, 0u) << Where;
-      EXPECT_EQ(R2.Stats.SkelCacheMisses, 0u) << Where;
-      EXPECT_EQ(R2.Stats.SkelCacheHits, R1.Stats.SkelCacheMisses) << Where;
-      // Per backend, the counters must not depend on -j.
-      uint64_t &Prev = C.Backend == SimBackendKind::Solve ? SolveMisses
-                                                          : SweepMisses;
-      if (C.Jobs == 1)
-        Prev = R1.Stats.SkelCacheMisses;
-      else
-        EXPECT_EQ(R1.Stats.SkelCacheMisses, Prev) << Where;
-    }
-  }
-  EXPECT_GT(Compared, 100u);
-}
-
-TEST(FuzzTest, SkeletonCacheTinyCapacityAndRenamedDuplicates) {
-  SkelCacheGuard Guard;
-  auto &SC = simcore::SkeletonCache::instance();
-
-  // A thrashing cache (capacity 1) may only cost hits, never outcomes.
-  // Find a classic with more than one combo so the second insert must
-  // evict the first, then pin that evictions are actually counted.
-  bool SawEviction = false;
-  for (const std::string &Name : classicNames()) {
-    LitmusTest T = classicTest(Name);
-    SC.setCapacity(0);
-    SimResult Ref = simulateC(T, "rc11");
-    ASSERT_TRUE(Ref.ok()) << Name << ": " << Ref.Error;
-    std::string Expect = outcomeSetToString(Ref.Allowed);
-
-    SC.clear();
-    SC.setCapacity(1);
-    SimResult R1 = simulateC(T, "rc11");
-    SimResult R2 = simulateC(T, "rc11");
-    EXPECT_EQ(outcomeSetToString(R1.Allowed), Expect) << Name;
-    EXPECT_EQ(outcomeSetToString(R2.Allowed), Expect) << Name;
-    if (R1.Stats.SkelCacheMisses > 1) {
-      EXPECT_GT(R1.Stats.SkelCacheEvictions, 0u) << Name;
-      SawEviction = true;
-    }
-  }
-  EXPECT_TRUE(SawEviction)
-      << "no classic produced a multi-combo eviction drill";
-
-  // Cross-test reuse, the point of the cache: a renamed duplicate
-  // (fresh location/thread/register names, same structure) hits every
-  // skeleton the original inserted, and its outcomes are byte-identical
-  // to its own cache-off reference.
-  unsigned Reused = 0;
-  for (uint64_t Seed = 1; Seed <= 30; ++Seed) {
-    RandomGenOptions G;
-    G.Seed = Seed;
-    G.Count = 1;
-    G.MaxEdges = 8;
-    std::vector<LitmusTest> Tests = generateRandomTests(G);
-    if (Tests.empty())
-      continue;
-    const LitmusTest &T = Tests.front();
-    LitmusTest D = suffixRenamed(T);
-    std::string What = "seed " + std::to_string(Seed) + "\n" +
-                       printLitmusC(T) + "\nduplicate:\n" + printLitmusC(D);
-
-    SC.setCapacity(0);
-    SimResult RefD = simulateC(D, "rc11");
-    ASSERT_TRUE(RefD.ok()) << What << RefD.Error;
-
-    SC.clear();
-    SC.setCapacity(256);
-    SimResult RT = simulateC(T, "rc11"); // cold: populates the cache
-    SimResult RD = simulateC(D, "rc11"); // different test, warm anyway
-    EXPECT_EQ(outcomeSetToString(RD.Allowed),
-              outcomeSetToString(RefD.Allowed))
-        << What;
-    EXPECT_EQ(RD.Stats.SkelCacheMisses, 0u) << What;
-    EXPECT_EQ(RD.Stats.SkelCacheHits, RT.Stats.SkelCacheMisses) << What;
-    ++Reused;
-  }
-  EXPECT_GT(Reused, 15u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

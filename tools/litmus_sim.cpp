@@ -12,7 +12,8 @@
 ///
 /// Accepts both C litmus tests and assembly litmus tests (the format
 /// printed by the pipeline); assembly tests default to their target's
-/// architecture model.
+/// architecture model. Exit 1 when the step budget ran out: the printed
+/// outcomes may then be incomplete.
 ///
 /// Simulation-only campaigns run on the same distributed engine as
 /// telechat (docs/DISTRIBUTED.md), with units that skip compilation and
@@ -62,7 +63,7 @@ static void usage() {
           "       litmus-sim --relay <listen-port> <host:port> "
           "[--bind <addr>] [--batch <n>] [--status-port <p>]\n"
           "       litmus-sim --work <host:port> [-j <n>] [--batch <n>] "
-          "[--max-units <n>] [--skel-cache <n>]\n"
+          "[--max-units <n>]\n"
           "  -j <n>          enumeration worker threads (0 = all hardware "
           "threads; default 1)\n"
           "  --backend <b>   consistency engine: sweep (explicit enumeration,\n"
@@ -78,9 +79,7 @@ static void usage() {
           "domain (no arithmetic transforms)\n"
           "  --no-cat-cache  disable incremental Cat evaluation\n"
           "  --dedupe        serve one unit per canonical test shape and\n"
-          "                  rename its result onto the duplicates\n"
-          "  --skel-cache <n> cache per-combo skeletons across tests\n"
-          "                  (entries; 0 disables; campaign/worker modes)\n");
+          "                  rename its result onto the duplicates\n");
 }
 
 int main(int argc, char **argv) {
@@ -209,8 +208,7 @@ int main(int argc, char **argv) {
   if (Stats) {
     printf("Time %s %.4f (backend=%s paths=%llu rf=%llu consistent=%llu "
            "co=%llu allowed=%llu rf-sources-pruned=%llu (copy=%llu "
-           "xform=%llu) rf-pruned=%llu cat-evals-avoided=%llu "
-           "skel-hits=%llu skel-misses=%llu skel-evictions=%llu)\n",
+           "xform=%llu) rf-pruned=%llu cat-evals-avoided=%llu)\n",
            Program.Name.c_str(), R.Stats.Seconds,
            backendUsedName(R.Stats.BackendUsed),
            static_cast<unsigned long long>(R.Stats.PathCombos),
@@ -222,10 +220,7 @@ int main(int argc, char **argv) {
            static_cast<unsigned long long>(R.Stats.RfSourcesPrunedCopy),
            static_cast<unsigned long long>(R.Stats.RfSourcesPrunedXform),
            static_cast<unsigned long long>(R.Stats.RfPruned),
-           static_cast<unsigned long long>(R.Stats.CatEvalsAvoided),
-           static_cast<unsigned long long>(R.Stats.SkelCacheHits),
-           static_cast<unsigned long long>(R.Stats.SkelCacheMisses),
-           static_cast<unsigned long long>(R.Stats.SkelCacheEvictions));
+           static_cast<unsigned long long>(R.Stats.CatEvalsAvoided));
     if (R.Stats.BackendUsed == uint8_t(SimBackendKind::Solve))
       printf("Solver %s (decisions=%llu propagations=%llu conflicts=%llu "
              "clauses=%llu)\n",
@@ -246,5 +241,7 @@ int main(int argc, char **argv) {
       printf("%s", executionToDot(R.Executions[I],
                                   Program.Name + std::to_string(I))
                        .c_str());
-  return 0;
+  // An exhausted budget means the outcome set may be incomplete, so the
+  // "Ok"/"No" verdict above is not a result.
+  return R.TimedOut ? 1 : 0;
 }

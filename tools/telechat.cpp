@@ -15,6 +15,8 @@
 ///   telechat --campaign [corpus flags] --profile P [...]
 ///     A local campaign over a corpus (files, --suite, --classics),
 ///     pooled across tests; writes the deterministic results JSON.
+///     Exit 0 clean, 1 usage error or incomplete (some unit errored or
+///     timed out), 2 bug found.
 ///
 ///   telechat --serve <port> [corpus flags] --profile P [...]
 ///     The same campaign served to remote workers over TCP
@@ -117,9 +119,6 @@ static void usage() {
           "  --dedupe             execute one unit per canonical test\n"
           "                       shape (litmus/Canon.h) and rename its\n"
           "                       result onto the duplicates\n"
-          "  --skel-cache <n>     cache per-combo skeletons across tests\n"
-          "                       (entries; 0 = off; --campaign executes\n"
-          "                       locally, --work caches in the worker)\n"
           "  --bind <addr>        listen address (default 127.0.0.1)\n"
           "  --lease-timeout <s>  re-issue stalled leases (default 120)\n"
           "  --batch <n>          max units per Work frame / request\n"
