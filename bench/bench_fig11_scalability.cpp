@@ -18,7 +18,6 @@
 #include "asmcore/Semantics.h"
 #include "core/Campaign.h"
 #include "core/Telechat.h"
-#include "dist/Relay.h"
 #include "dist/Worker.h"
 #include "dist/WorkServer.h"
 #include "diy/Classics.h"

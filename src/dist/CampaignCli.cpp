@@ -10,6 +10,7 @@
 #include "dist/CampaignJson.h"
 #include "dist/Journal.h"
 #include "dist/WorkServer.h"
+#include "dist/Worker.h"
 #include "diy/Classics.h"
 #include "diy/Config.h"
 #include "diy/Generator.h"
@@ -169,6 +170,40 @@ int summariseSim(const std::vector<CampaignUnitMeta> &Units,
   return incompleteExit(Errors, Timeouts);
 }
 
+/// The downstream flags of --serve and --relay, parsed in one place:
+/// --bind, --batch, --lease-timeout, --status-port, --verbose. Returns
+/// -1 when argv[I] is none of them, 0 once it is consumed (I then points
+/// at its value), else the exit code: 1 for a missing value (after
+/// Usage), 2 for a refused number.
+int parseLeaseServerFlag(int argc, char **argv, int &I,
+                         LeaseServerOptions &Opts, void (*Usage)()) {
+  std::string Arg = argv[I];
+  if (Arg == "--verbose") {
+    Opts.Verbose = true;
+    return 0;
+  }
+  if (Arg != "--bind" && Arg != "--batch" && Arg != "--lease-timeout" &&
+      Arg != "--status-port")
+    return -1;
+  if (I + 1 == argc) {
+    Usage();
+    return 1;
+  }
+  const char *V = argv[++I];
+  bool Ok = true;
+  if (Arg == "--bind")
+    Opts.BindAddress = V;
+  else if (Arg == "--batch") // 0 would answer every GetWork with Wait.
+    Ok = parseFlagNumber("--batch", V, 1u, UINT32_MAX,
+                         Opts.MaxUnitsPerRequest);
+  else if (Arg == "--lease-timeout")
+    Ok = parseFlagNumber("--lease-timeout", V, 0.001, 1e9,
+                         Opts.LeaseTimeoutSeconds);
+  else
+    Ok = parseFlagNumber("--status-port", V, -1, 65535, Opts.StatusPort);
+  return Ok ? 0 : 2;
+}
+
 } // namespace
 
 int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
@@ -187,7 +222,6 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
   std::string CampaignJsonPath, EngineJsonPath;
   WorkServerOptions ServerOpts;
   bool Dedupe = false;
-  bool Verbose = false;
   int I = 2;
   if (Serve) {
     if (argc < 3) {
@@ -200,6 +234,12 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
     I = 3;
   }
   for (; I < argc; ++I) {
+    if (int Rc = parseLeaseServerFlag(argc, argv, I, ServerOpts, Usage);
+        Rc >= 0) {
+      if (Rc)
+        return Rc;
+      continue;
+    }
     std::string Arg = argv[I];
     auto Next = [&]() -> const char * {
       return I + 1 < argc ? argv[++I] : nullptr;
@@ -278,14 +318,6 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
       Resume = true;
     } else if (Arg == "--compact") {
       Compact = true;
-    } else if (Arg == "--status-port") {
-      if (!(V = Next())) {
-        Usage();
-        return 1;
-      }
-      if (!parseFlagNumber("--status-port", V, -1, 65535,
-                           ServerOpts.StatusPort))
-        return 2;
     } else if (Arg == "--profile") {
       if (!(V = Next())) {
         Usage();
@@ -361,32 +393,8 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
         return 1;
       }
       EngineJsonPath = V;
-    } else if (Arg == "--bind") {
-      if (!(V = Next())) {
-        Usage();
-        return 1;
-      }
-      ServerOpts.BindAddress = V;
-    } else if (Arg == "--lease-timeout") {
-      if (!(V = Next())) {
-        Usage();
-        return 1;
-      }
-      if (!parseFlagNumber("--lease-timeout", V, 0.001, 1e9,
-                           ServerOpts.LeaseTimeoutSeconds))
-        return 2;
-    } else if (Arg == "--batch") {
-      if (!(V = Next())) {
-        Usage();
-        return 1;
-      }
-      if (!parseFlagNumber("--batch", V, 0u, UINT32_MAX,
-                           ServerOpts.MaxUnitsPerRequest))
-        return 2;
     } else if (Arg == "--dedupe") {
       Dedupe = true;
-    } else if (Arg == "--verbose") {
-      Verbose = true;
     } else {
       fprintf(stderr, "unknown option '%s'\n", Arg.c_str());
       Usage();
@@ -509,7 +517,6 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
   std::string ServeError;
 
   if (Serve) {
-    ServerOpts.Verbose = Verbose;
     ServerOpts.Dedupe = Dedupe;
     bool Streamed = Spec.K == CampaignSourceSpec::Kind::Generator;
     // A journal header needs the spec intact, so only the journal-free
@@ -716,4 +723,52 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
            static_cast<unsigned long long>(S->Results));
   }
   return Exit;
+}
+
+int telechat::relayToolMain(int argc, char **argv, void (*Usage)()) {
+  if (argc < 4) {
+    Usage();
+    return 1;
+  }
+  RelayOptions Opts;
+  if (!parseFlagNumber("--relay", argv[2], uint16_t(0), uint16_t(65535),
+                       Opts.Port))
+    return 2;
+  if (!splitHostPort(argv[3], Opts.UpstreamHost, Opts.UpstreamPort)) {
+    fprintf(stderr, "error: --relay expects <listen-port> <host:port>\n");
+    return 1;
+  }
+  for (int I = 4; I < argc; ++I) {
+    int Rc = parseLeaseServerFlag(argc, argv, I, Opts, Usage);
+    if (Rc > 0)
+      return Rc;
+    if (Rc < 0) {
+      fprintf(stderr, "unknown option '%s'\n", argv[I]);
+      Usage();
+      return 1;
+    }
+  }
+  Relay R(Opts);
+  std::string Err = R.start();
+  if (!Err.empty()) {
+    fprintf(stderr, "error: %s\n", Err.c_str());
+    return 1;
+  }
+  printf("relaying %s:%u on %s:%u\n", Opts.UpstreamHost.c_str(),
+         unsigned(Opts.UpstreamPort), Opts.BindAddress.c_str(),
+         unsigned(R.port()));
+  fflush(stdout);
+  RelayReport Report = R.run();
+  printf("relayed: %.2f s, %llu units, %llu results forwarded, "
+         "%llu requeues, %zu workers\n",
+         Report.Seconds,
+         static_cast<unsigned long long>(Report.UnitsRelayed),
+         static_cast<unsigned long long>(Report.ResultsForwarded),
+         static_cast<unsigned long long>(Report.Requeues),
+         Report.Workers.size());
+  if (!Report.Error.empty()) {
+    fprintf(stderr, "error: %s\n", Report.Error.c_str());
+    return 1;
+  }
+  return 0;
 }

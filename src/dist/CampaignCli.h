@@ -11,7 +11,9 @@
 /// and server knobs) over the same engine, differing only in execution
 /// mode. Sharing the driver -- like workerToolMain for --work -- keeps
 /// the two CLIs from drifting: a server flag added here exists in both
-/// tools at once.
+/// tools at once. relayToolMain reads the downstream flags (--bind,
+/// --batch, --lease-timeout, --status-port, --verbose) through the same
+/// parser as --serve.
 ///
 /// Generative campaigns (--gen-seed/--gen-count) stream units off the
 /// diy generator instead of a materialised corpus; --journal makes a
@@ -40,6 +42,12 @@ enum class CampaignCliMode {
 /// \p Usage is called on argument errors.
 int campaignToolMain(int argc, char **argv, void (*Usage)(),
                      CampaignCliMode Mode);
+
+/// The whole relay CLI: `<tool> --relay <listen-port> <upstream-host:port>
+/// [--bind A] [--batch N] [--lease-timeout S] [--status-port P]
+/// [--verbose]`, the same downstream flags --serve parses. Exit 0 on a
+/// completed campaign, 1 on error, 2 for a refused number.
+int relayToolMain(int argc, char **argv, void (*Usage)());
 
 } // namespace telechat
 

@@ -117,6 +117,38 @@ void appendSimSide(std::string &J, const SimResult &R) {
   J += "}";
 }
 
+/// One `"key": N,` line of a top-level JSON object.
+void appendCount(std::string &J, const char *Key, uint64_t N) {
+  J += strFormat("  \"%s\": %llu,\n", Key, static_cast<unsigned long long>(N));
+}
+
+/// The "workers" array and the document's closing brace, shared by the
+/// engine JSON and /status; \p Outstanding (per row) only in the latter.
+void appendWorkers(std::string &J, const std::vector<WorkerTelemetry> &Rows,
+                   const std::vector<uint64_t> *Outstanding) {
+  J += "  \"workers\": [\n";
+  for (size_t I = 0; I != Rows.size(); ++I) {
+    const WorkerTelemetry &W = Rows[I];
+    double Rate = W.ConnectedSeconds > 0.0
+                      ? double(W.UnitsCompleted) / W.ConnectedSeconds
+                      : 0.0;
+    J += strFormat("    {\"peer\": %s, \"jobs\": %u, \"units_leased\": "
+                   "%llu, \"units_completed\": %llu, \"requeued\": %llu, ",
+                   quoted(W.Peer).c_str(), W.Jobs,
+                   static_cast<unsigned long long>(W.UnitsLeased),
+                   static_cast<unsigned long long>(W.UnitsCompleted),
+                   static_cast<unsigned long long>(W.Requeued));
+    if (Outstanding)
+      J += strFormat("\"outstanding\": %llu, ",
+                     static_cast<unsigned long long>((*Outstanding)[I]));
+    J += strFormat("\"connected_seconds\": %.3f, \"units_per_second\": "
+                   "%.2f}%s\n",
+                   W.ConnectedSeconds, Rate,
+                   I + 1 != Rows.size() ? "," : "");
+  }
+  J += "  ]\n}\n";
+}
+
 } // namespace
 
 std::string telechat::campaignVerdict(const TelechatResult &R) {
@@ -194,52 +226,21 @@ telechat::campaignResultsJson(const std::vector<CampaignUnitMeta> &Units,
 std::string telechat::serviceStatusJson(const ServiceStatus &S) {
   std::string J = "{\n";
   J += "  \"role\": " + quoted(S.Role) + ",\n";
-  J += strFormat("  \"planned\": %llu,\n",
-                 static_cast<unsigned long long>(S.Planned));
-  J += strFormat("  \"generated\": %llu,\n",
-                 static_cast<unsigned long long>(S.Generated));
-  J += strFormat("  \"completed\": %llu,\n",
-                 static_cast<unsigned long long>(S.Completed));
-  J += strFormat("  \"pending\": %llu,\n",
-                 static_cast<unsigned long long>(S.Pending));
-  J += strFormat("  \"leased\": %llu,\n",
-                 static_cast<unsigned long long>(S.Leased));
-  J += strFormat("  \"requeues\": %llu,\n",
-                 static_cast<unsigned long long>(S.Requeues));
-  J += strFormat("  \"duplicate_results\": %llu,\n",
-                 static_cast<unsigned long long>(S.DuplicateResults));
-  J += strFormat("  \"replayed_results\": %llu,\n",
-                 static_cast<unsigned long long>(S.ReplayedResults));
-  J += strFormat("  \"deduped_units\": %llu,\n",
-                 static_cast<unsigned long long>(S.DedupedUnits));
-  J += strFormat("  \"poll_wakeups\": %llu,\n",
-                 static_cast<unsigned long long>(S.PollWakeups));
-  J += strFormat("  \"lease_size_min\": %llu,\n",
-                 static_cast<unsigned long long>(S.Sizing.Min));
-  J += strFormat("  \"lease_size_max\": %llu,\n",
-                 static_cast<unsigned long long>(S.Sizing.Max));
-  J += strFormat("  \"lease_size_final\": %llu,\n",
-                 static_cast<unsigned long long>(S.Sizing.Final));
+  appendCount(J, "planned", S.Planned);
+  appendCount(J, "generated", S.Generated);
+  appendCount(J, "completed", S.Completed);
+  appendCount(J, "pending", S.Pending);
+  appendCount(J, "leased", S.Leased);
+  appendCount(J, "requeues", S.Requeues);
+  appendCount(J, "duplicate_results", S.DuplicateResults);
+  appendCount(J, "replayed_results", S.ReplayedResults);
+  appendCount(J, "deduped_units", S.DedupedUnits);
+  appendCount(J, "poll_wakeups", S.PollWakeups);
+  appendCount(J, "lease_size_min", S.Sizing.Min);
+  appendCount(J, "lease_size_max", S.Sizing.Max);
+  appendCount(J, "lease_size_final", S.Sizing.Final);
   J += strFormat("  \"seconds\": %.3f,\n", S.Seconds);
-  J += "  \"workers\": [\n";
-  for (size_t I = 0; I != S.Workers.size(); ++I) {
-    const ServiceStatus::WorkerRow &W = S.Workers[I];
-    double Rate = W.ConnectedSeconds > 0.0
-                      ? double(W.UnitsCompleted) / W.ConnectedSeconds
-                      : 0.0;
-    J += strFormat("    {\"peer\": %s, \"jobs\": %u, \"units_leased\": "
-                   "%llu, \"units_completed\": %llu, \"requeued\": %llu, "
-                   "\"outstanding\": %llu, \"connected_seconds\": %.3f, "
-                   "\"units_per_second\": %.2f}%s\n",
-                   quoted(W.Peer).c_str(), W.Jobs,
-                   static_cast<unsigned long long>(W.UnitsLeased),
-                   static_cast<unsigned long long>(W.UnitsCompleted),
-                   static_cast<unsigned long long>(W.Requeued),
-                   static_cast<unsigned long long>(W.Outstanding),
-                   W.ConnectedSeconds, Rate,
-                   I + 1 != S.Workers.size() ? "," : "");
-  }
-  J += "  ]\n}\n";
+  appendWorkers(J, S.Workers, &S.Outstanding);
   return J;
 }
 
@@ -248,24 +249,15 @@ std::string telechat::campaignEngineJson(const CampaignReport &Report) {
   J += strFormat("  \"engine\": \"work-server\",\n  \"units\": %llu,\n",
                  static_cast<unsigned long long>(Report.Units));
   J += strFormat("  \"seconds\": %.3f,\n", Report.Seconds);
-  J += strFormat("  \"requeues\": %llu,\n",
-                 static_cast<unsigned long long>(Report.Requeues));
-  J += strFormat("  \"duplicate_results\": %llu,\n",
-                 static_cast<unsigned long long>(Report.DuplicateResults));
-  J += strFormat("  \"replayed_results\": %llu,\n",
-                 static_cast<unsigned long long>(Report.ReplayedResults));
-  J += strFormat("  \"deduped_units\": %llu,\n",
-                 static_cast<unsigned long long>(Report.DedupedUnits));
-  J += strFormat("  \"stale_replays\": %llu,\n",
-                 static_cast<unsigned long long>(Report.StaleReplays));
-  J += strFormat("  \"poll_wakeups\": %llu,\n",
-                 static_cast<unsigned long long>(Report.PollWakeups));
-  J += strFormat("  \"lease_size_min\": %llu,\n",
-                 static_cast<unsigned long long>(Report.Sizing.Min));
-  J += strFormat("  \"lease_size_max\": %llu,\n",
-                 static_cast<unsigned long long>(Report.Sizing.Max));
-  J += strFormat("  \"lease_size_final\": %llu,\n",
-                 static_cast<unsigned long long>(Report.Sizing.Final));
+  appendCount(J, "requeues", Report.Requeues);
+  appendCount(J, "duplicate_results", Report.DuplicateResults);
+  appendCount(J, "replayed_results", Report.ReplayedResults);
+  appendCount(J, "deduped_units", Report.DedupedUnits);
+  appendCount(J, "stale_replays", Report.StaleReplays);
+  appendCount(J, "poll_wakeups", Report.PollWakeups);
+  appendCount(J, "lease_size_min", Report.Sizing.Min);
+  appendCount(J, "lease_size_max", Report.Sizing.Max);
+  appendCount(J, "lease_size_final", Report.Sizing.Final);
   J += "  \"error\": " + quoted(Report.Error) + ",\n";
   // The budget-split coverage summary: which units the campaign ran
   // dynamically (--backend explore or an --explore-budget reroute) and
@@ -294,23 +286,6 @@ std::string telechat::campaignEngineJson(const CampaignReport &Report) {
                    static_cast<unsigned long long>(Schedules),
                    static_cast<unsigned long long>(CoverageGaps));
   }
-  J += "  \"workers\": [\n";
-  for (size_t I = 0; I != Report.Workers.size(); ++I) {
-    const WorkerTelemetry &W = Report.Workers[I];
-    double Rate = W.ConnectedSeconds > 0.0
-                      ? double(W.UnitsCompleted) / W.ConnectedSeconds
-                      : 0.0;
-    J += strFormat("    {\"peer\": %s, \"jobs\": %u, \"units_leased\": "
-                   "%llu, \"units_completed\": %llu, \"requeued\": %llu, "
-                   "\"connected_seconds\": %.3f, \"units_per_second\": "
-                   "%.2f}%s\n",
-                   quoted(W.Peer).c_str(), W.Jobs,
-                   static_cast<unsigned long long>(W.UnitsLeased),
-                   static_cast<unsigned long long>(W.UnitsCompleted),
-                   static_cast<unsigned long long>(W.Requeued),
-                   W.ConnectedSeconds, Rate,
-                   I + 1 != Report.Workers.size() ? "," : "");
-  }
-  J += "  ]\n}\n";
+  appendWorkers(J, Report.Workers, nullptr);
   return J;
 }

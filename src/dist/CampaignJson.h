@@ -69,16 +69,10 @@ struct ServiceStatus {
   uint64_t PollWakeups = 0;
   LeaseSizing Sizing;
   double Seconds = 0.0; ///< Wall clock since run() started.
-  struct WorkerRow {
-    std::string Peer;
-    uint32_t Jobs = 0;
-    uint64_t UnitsLeased = 0;
-    uint64_t UnitsCompleted = 0;
-    uint64_t Requeued = 0;
-    uint64_t Outstanding = 0; ///< Leases held right now.
-    double ConnectedSeconds = 0.0;
-  };
-  std::vector<WorkerRow> Workers;
+  /// One row per connection, in connect order, and the leases each
+  /// row's connection holds right now.
+  std::vector<WorkerTelemetry> Workers;
+  std::vector<uint64_t> Outstanding;
 };
 
 /// Renders \p S as the /status JSON document.

@@ -9,8 +9,11 @@
 /// for how long, and how many to hand out next. It owns the pending
 /// queue, the lease table, the completion bitmap and the per-peer
 /// anti-fabrication set, and it is deliberately ignorant of sockets,
-/// frames and results -- WorkServer and Relay feed it slot numbers and
-/// unit ids and act on what it returns.
+/// frames and results -- the lease server (WorkServer.h) feeds it slot
+/// numbers and dense local unit ids and acts on what it returns. Ids
+/// are dense in both roles: stream positions for the work server,
+/// arrival positions for a relay (never its upstream's wire ids, which
+/// a hostile upstream could pick to size the completion bitmap).
 ///
 /// Fault discipline (unchanged from the monolithic server, pinned by the
 /// kill/stall drills): a dropped or expired lease re-enters the queue
@@ -84,8 +87,8 @@ public:
   bool completed(uint64_t Id) const {
     return Id < Completed.size() && Completed[Id];
   }
-  /// Marks \p Id complete (grows the bitmap on demand, so servers with
-  /// dense id spaces and relays leasing sparse subsets both fit).
+  /// Marks \p Id complete. The bitmap grows to the largest id marked,
+  /// which is why callers hand out dense ids.
   void markCompleted(uint64_t Id);
 
   /// Forgets \p Slot's lease entry for \p Id without requeueing: the

@@ -8,9 +8,10 @@
 /// The transport tier of the campaign service (docs/DISTRIBUTED.md):
 /// everything about *connections* -- accepting them, splitting their
 /// byte streams into frames, noticing they died -- with no knowledge of
-/// units, leases or results. WorkServer and Relay both sit on top as
-/// SessionHost::Handler implementations; the scheduling tier
-/// (LeaseScheduler.h) is a sibling, not a client.
+/// units, leases or results. The lease server (WorkServer.h) sits on top
+/// as the one SessionHost::Handler, in both of its roles (work server
+/// and relay); the scheduling tier (LeaseScheduler.h) is a sibling, not
+/// a client.
 ///
 /// The poll discipline is the one the monolithic server grew in PRs 3-9
 /// and the fault drills pin: the peer list is snapshotted before poll()
@@ -22,8 +23,8 @@
 ///
 /// StatusEndpoint is the observability half of the tier: a deliberately
 /// tiny HTTP/1.0 responder (GET /status -> one JSON document) that rides
-/// the same poll loop via the aux-fd hooks, so servers and relays export
-/// live metrics without a second thread.
+/// the same poll loop via the aux-fd hooks, so a lease server exports
+/// live metrics, in either role, without a second thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,15 +45,14 @@ namespace telechat {
 /// One connected peer: the socket, its incremental frame reassembly, and
 /// the protocol phase flags every frame dispatcher needs. The slot index
 /// is stable for the lifetime of the host (dead peers keep their slot
-/// with an invalid socket), so upper tiers key per-peer state by slot.
+/// with an invalid socket) and slots are handed out in connect order, so
+/// upper tiers key per-peer state by slot: the lease server's telemetry
+/// row of a connection, and its lease-scheduler peer, share its slot.
 struct PeerSession {
   TcpSocket Sock;
   FrameSplitter Frames;
   bool Handshook = false;
   bool DoneSent = false;
-  /// Free index for the upper tier (WorkServer points it at the
-  /// telemetry row of this connection; Relay does the same).
-  size_t Telemetry = 0;
   std::chrono::steady_clock::time_point ConnectedAt;
 };
 

@@ -1,37 +1,50 @@
-//===--- WorkServer.h - The distributed campaign work server ----*- C++ -*-===//
+//===--- WorkServer.h - The campaign lease server, in two roles -*- C++ -*-===//
 //
 // Part of the Télétchat reproduction. MIT licensed; see README.md.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The campaign work server: pulls units off a UnitSource (a fixed
-/// corpus, or a generator streaming diy tests on demand), leases batches
-/// to workers over TCP (Protocol.h), re-issues the leases of dead or
-/// stalled workers, and merges results by corpus index -- so the merged
-/// campaign is bit-identical to the single-process batch drivers no
-/// matter how many workers served it, in which order they pulled, or how
-/// many of them died along the way. Units are pulled lazily (a Work
-/// frame's worth at a time) and their bodies are dropped once merged, so
-/// a streamed campaign never materialises the whole corpus.
+/// The downstream half of the campaign service: one lease server that
+/// accepts workers, leases them batches over TCP (Protocol.h), re-issues
+/// the leases of dead or stalled workers, and exports live status. It
+/// runs in one of two roles, which differ only in where units come from
+/// and where results go (its *feed*):
+///
+///  - WorkServer, the local feed: units are pulled off a UnitSource (a
+///    fixed corpus, or a generator streaming diy tests on demand) and
+///    results merge by corpus index -- so the merged campaign is
+///    bit-identical to the single-process batch drivers no matter how
+///    many workers served it, in which order they pulled, or how many of
+///    them died along the way. Units are pulled lazily (a Work frame's
+///    worth at a time) and their bodies are dropped once merged, so a
+///    streamed campaign never materialises the whole corpus.
+///
+///  - Relay, the upstream feed: units are pulled from another lease
+///    server (the root, or another relay) over a worker-style link, and
+///    results are forwarded back to it. Unit bodies and result payloads
+///    cross byte-verbatim after bounds-checked validation, so a relayed
+///    campaign merges byte-identically to a flat one. One relay fronts
+///    any number of workers; its upstream sees one well-behaved worker.
 ///
 /// Fault model: a lease is returned to the pending queue when its
-/// connection drops or its deadline passes. Units are idempotent (pure
-/// simulation), so double execution after a requeue is harmless; the
-/// first result accepted for a unit wins and duplicates are counted and
-/// dropped. Because unit execution is deterministic, a duplicate is
-/// byte-equal to the accepted result anyway.
+/// connection drops or its deadline passes (LeaseScheduler.h). Units are
+/// idempotent (pure simulation), so double execution after a requeue is
+/// harmless; the first result accepted for a unit wins and duplicates
+/// are counted and dropped. A dead worker behind a relay requeues at the
+/// relay; a dead relay is one dead worker to its upstream. A relay
+/// treats an upstream disconnect before Done as fatal.
 ///
-/// Durability: with a journal attached (setJournal), every accepted
-/// result is appended and flushed before it is merged; preloadResults
-/// seeds a restarted server with the journal's replayed results, which
-/// merge without being re-served -- the resume path of
+/// Durability (local feed): with a journal attached (setJournal), every
+/// accepted result is appended and flushed before it is merged;
+/// preloadResults seeds a restarted server with the journal's replayed
+/// results, which merge without being re-served -- the resume path of
 /// docs/DISTRIBUTED.md. A resumed campaign's report is byte-identical
 /// to an uninterrupted run over the same spec.
 ///
-/// Threading: the server is single-threaded (one poll loop); it is the
-/// *workers* that bring parallelism. run() blocks until every unit has a
-/// result and can be driven from a std::thread when embedded (tests,
+/// Threading: a lease server is single-threaded (one poll loop); it is
+/// the *workers* that bring parallelism. run() blocks until the campaign
+/// is over and can be driven from a std::thread when embedded (tests,
 /// benches, the loopback sweep).
 ///
 //===----------------------------------------------------------------------===//
@@ -51,9 +64,9 @@
 
 namespace telechat {
 
-/// Server knobs.
-struct WorkServerOptions {
-  /// 0 asks the kernel for a free port (see WorkServer::port()).
+/// Knobs of the downstream half, shared by both roles.
+struct LeaseServerOptions {
+  /// Listen port; 0 asks the kernel for a free one (see port()).
   uint16_t Port = 0;
   /// Loopback by default: exposing a campaign to a network is an
   /// explicit deployment decision (--bind 0.0.0.0).
@@ -62,21 +75,15 @@ struct WorkServerOptions {
   /// connected (covers stalls, not just crashes). Campaign units are
   /// sub-second; minutes of slack only delays fault recovery.
   double LeaseTimeoutSeconds = 120.0;
-  /// Cap on units per Work frame regardless of what a worker asks for.
+  /// Cap on units per Work frame regardless of what a worker asks for;
+  /// a relay also pulls this many per upstream GetWork and refills when
+  /// its queue drops below it.
   unsigned MaxUnitsPerRequest = 64;
   /// Retry hint carried by Wait frames.
   unsigned WaitRetryMs = 50;
-  /// Canonical corpus dedupe (litmus/Canon.h): serve one unit per
-  /// canonical equivalence class and config, answer the others by
-  /// renaming the representative's result into their vocabulary. The
-  /// merged Results are byte-identical to executing every unit (modulo
-  /// per-unit stats, which mirror the representative's); strictly fewer
-  /// units hit the wire. Duplicates arriving as journal replays merge
-  /// directly and are never re-served (the resume path).
-  bool Dedupe = false;
   /// HTTP status endpoint (`GET /status` -> live JSON): -1 disables, 0
-  /// binds an ephemeral port (see WorkServer::statusPort()), otherwise
-  /// the given port. Bound on BindAddress, like the campaign port.
+  /// binds an ephemeral port (see statusPort()), otherwise the given
+  /// port. Bound on BindAddress, like the campaign port.
   int StatusPort = -1;
   /// Backpressure target for adaptive lease sizing: each worker's batch
   /// cap tracks roughly this many seconds of work at its observed
@@ -85,6 +92,27 @@ struct WorkServerOptions {
   double TargetLeaseSeconds = 1.0;
   /// Progress lines on stderr.
   bool Verbose = false;
+};
+
+/// WorkServer knobs.
+struct WorkServerOptions : LeaseServerOptions {
+  /// Canonical corpus dedupe (litmus/Canon.h): serve one unit per
+  /// canonical equivalence class and config, answer the others by
+  /// renaming the representative's result into their vocabulary. The
+  /// merged Results are byte-identical to executing every unit (modulo
+  /// per-unit stats, which mirror the representative's); strictly fewer
+  /// units hit the wire. Duplicates arriving as journal replays merge
+  /// directly and are never re-served (the resume path).
+  bool Dedupe = false;
+};
+
+/// Relay knobs: where the upstream lease server is.
+struct RelayOptions : LeaseServerOptions {
+  std::string UpstreamHost = "127.0.0.1";
+  uint16_t UpstreamPort = 0;
+  /// How long start() retries the upstream connect (the relay usually
+  /// races the server's bind in deployment scripts).
+  double ConnectRetrySeconds = 10.0;
 };
 
 /// Per-connection telemetry, reported in connect order. One worker
@@ -99,16 +127,34 @@ struct WorkerTelemetry {
   double ConnectedSeconds = 0.0;
 };
 
+/// What the downstream half did, in either role.
+struct LeaseReport {
+  uint64_t Requeues = 0;          ///< Leases re-issued (faults observed).
+  uint64_t DuplicateResults = 0;  ///< Late results dropped after requeue.
+  /// Poll-loop iterations of run(): with the earliest-deadline timer
+  /// this tracks actual work (frames, accepts, expiries), not a fixed
+  /// tick rate.
+  uint64_t PollWakeups = 0;
+  /// Adaptive lease-size trajectory (LeaseScheduler.h).
+  LeaseSizing Sizing;
+  std::vector<WorkerTelemetry> Workers;
+  double Seconds = 0.0;           ///< Wall clock of run().
+  /// Nonempty when the campaign broke a promise. Work server: the unit
+  /// source misbehaved (ids out of stream order) or the journal stopped
+  /// accepting appends; the merge covers only the units streamed before
+  /// the fault. Relay: it died rather than finished (upstream
+  /// disconnected before Done, or its frame stream went corrupt).
+  std::string Error;
+};
+
 /// Everything one served campaign produced.
-struct CampaignReport {
+struct CampaignReport : LeaseReport {
   /// Results in corpus order (index = unit id); the deterministic merge.
   std::vector<TelechatResult> Results;
   /// Name/config of every unit in corpus order: what summaries and the
   /// results JSON need after streamed unit bodies are dropped.
   std::vector<CampaignUnitMeta> UnitsMeta;
   uint64_t Units = 0;             ///< Corpus size (survives moving Results).
-  uint64_t Requeues = 0;          ///< Leases re-issued (faults observed).
-  uint64_t DuplicateResults = 0;  ///< Late results dropped after requeue.
   /// Results merged from a journal replay instead of execution (resume).
   uint64_t ReplayedResults = 0;
   /// Units answered by canonical dedupe (Options::Dedupe) instead of
@@ -118,22 +164,18 @@ struct CampaignReport {
   /// Replayed results whose unit ids the stream never produced (a
   /// journal replayed against the wrong spec); dropped from the merge.
   uint64_t StaleReplays = 0;
-  /// Poll-loop iterations of run(): with the earliest-deadline timer
-  /// this tracks actual work (frames, accepts, expiries), not a fixed
-  /// tick rate.
-  uint64_t PollWakeups = 0;
-  /// Adaptive lease-size trajectory (LeaseScheduler.h).
-  LeaseSizing Sizing;
-  std::vector<WorkerTelemetry> Workers;
-  double Seconds = 0.0;           ///< Wall clock of run().
-  /// Nonempty when the unit source misbehaved (ids out of stream order)
-  /// or the journal stopped accepting appends; the merge covers only the
-  /// units streamed before the fault.
-  std::string Error;
+};
+
+/// What one relayed campaign did (telemetry only; results live at the
+/// root server).
+struct RelayReport : LeaseReport {
+  uint64_t UnitsRelayed = 0;     ///< Distinct units pulled from upstream.
+  uint64_t ResultsForwarded = 0; ///< Results shipped upstream.
 };
 
 class JournalWriter;
 
+/// The lease server with the local feed.
 class WorkServer {
 public:
   /// A materialised corpus. \p Units must satisfy Units[i].Id == i (what
@@ -178,6 +220,33 @@ public:
   /// fully-replayed corpus), then disconnects workers and returns the
   /// merged report.
   CampaignReport run();
+
+private:
+  struct Impl;
+  Impl *P;
+};
+
+/// The lease server with the upstream feed: a tier coordinator.
+class Relay {
+public:
+  explicit Relay(RelayOptions Options);
+  ~Relay();
+  Relay(const Relay &) = delete;
+  Relay &operator=(const Relay &) = delete;
+
+  /// Connects upstream (with retry), handshakes, and binds the
+  /// downstream listener (and status endpoint). Empty string on success.
+  std::string start();
+
+  /// The downstream port; valid after a successful start().
+  uint16_t port() const;
+
+  /// The bound status port, 0 when the endpoint is off.
+  uint16_t statusPort() const;
+
+  /// Relays until the upstream campaign completes (Done) or a fatal
+  /// fault (RelayReport::Error).
+  RelayReport run();
 
 private:
   struct Impl;

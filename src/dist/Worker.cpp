@@ -88,6 +88,35 @@ bool telechat::splitHostPort(const std::string &HostPort, std::string &Host,
   return true;
 }
 
+ErrorOr<CampaignHello> telechat::clientHandshake(TcpSocket &Sock,
+                                                 uint32_t Jobs) {
+  WireBuffer B;
+  B.appendU32(WireMagic);
+  B.appendU16(WireVersion);
+  B.appendU32(Jobs);
+  if (!sendFrame(Sock, uint8_t(Msg::Hello), B))
+    return makeError("handshake send failed");
+  ErrorOr<Frame> F = recvFrame(Sock);
+  if (!F)
+    return makeError("handshake: " + F.error());
+  WireCursor C(F->Payload);
+  if (F->Type == uint8_t(Msg::Error))
+    return makeError("server refused: " + C.readString());
+  if (F->Type != uint8_t(Msg::HelloAck))
+    return makeError("handshake: unexpected reply");
+  CampaignHello Hello;
+  uint16_t Version = C.readU16();
+  Hello.Planned = C.readU64();
+  Hello.Configs.resize(C.readCount(8));
+  for (CampaignConfig &Config : Hello.Configs)
+    if (!decodeCampaignConfig(C, Config))
+      return makeError("handshake: bad config table");
+  if (!C.ok() || Version != WireVersion)
+    return makeError("handshake: bad HelloAck");
+  Hello.Payload = std::move(F->Payload);
+  return Hello;
+}
+
 ErrorOr<WorkerRunStats>
 telechat::runCampaignWorker(const std::string &Host, uint16_t Port,
                             const WorkerOptions &Options) {
@@ -97,36 +126,12 @@ telechat::runCampaignWorker(const std::string &Host, uint16_t Port,
     return makeError("connect: " + Connected.error());
   TcpSocket Sock = std::move(*Connected);
 
-  // Handshake.
-  {
-    WireBuffer B;
-    B.appendU32(WireMagic);
-    B.appendU16(WireVersion);
-    B.appendU32(resolveJobs(Options.Jobs));
-    if (!sendFrame(Sock, uint8_t(Msg::Hello), B))
-      return makeError("handshake send failed");
-  }
-  std::vector<CampaignConfig> Configs;
-  uint64_t TotalUnits = 0;
-  {
-    ErrorOr<Frame> F = recvFrame(Sock);
-    if (!F)
-      return makeError("handshake: " + F.error());
-    WireCursor C(F->Payload);
-    if (F->Type == uint8_t(Msg::Error))
-      return makeError("server refused: " + C.readString());
-    if (F->Type != uint8_t(Msg::HelloAck))
-      return makeError("handshake: unexpected reply");
-    uint16_t Version = C.readU16();
-    TotalUnits = C.readU64();
-    uint32_t NConfigs = C.readCount(8);
-    Configs.resize(NConfigs);
-    for (CampaignConfig &Config : Configs)
-      if (!decodeCampaignConfig(C, Config))
-        return makeError("handshake: bad config table");
-    if (!C.ok() || Version != WireVersion)
-      return makeError("handshake: bad HelloAck");
-  }
+  ErrorOr<CampaignHello> Hello =
+      clientHandshake(Sock, resolveJobs(Options.Jobs));
+  if (!Hello)
+    return makeError(Hello.error());
+  std::vector<CampaignConfig> Configs = std::move(Hello->Configs);
+  uint64_t TotalUnits = Hello->Planned;
   if (Options.Verbose)
     // Planned size only: a generative server may stream fewer (the Done
     // frame carries the final count).

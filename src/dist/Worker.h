@@ -18,10 +18,13 @@
 #ifndef TELECHAT_DIST_WORKER_H
 #define TELECHAT_DIST_WORKER_H
 
+#include "core/Campaign.h"
+#include "dist/Socket.h"
 #include "support/Error.h"
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace telechat {
 
@@ -63,6 +66,20 @@ struct WorkerRunStats {
 ErrorOr<WorkerRunStats> runCampaignWorker(const std::string &Host,
                                           uint16_t Port,
                                           const WorkerOptions &Options = {});
+
+/// What the client half of the handshake learns from a HelloAck.
+struct CampaignHello {
+  uint64_t Planned = 0; ///< Planned campaign size (advisory).
+  std::vector<CampaignConfig> Configs;
+  /// The HelloAck payload, verbatim (a relay replays it downstream).
+  std::vector<uint8_t> Payload;
+};
+
+/// The client half of the handshake, shared by workers and a relay's
+/// upstream link: sends Hello announcing \p Jobs, then reads the reply
+/// and fully validates it as a HelloAck. Errors name the failed step
+/// ("handshake: bad config table", "server refused: ...").
+ErrorOr<CampaignHello> clientHandshake(TcpSocket &Sock, uint32_t Jobs);
 
 /// Splits "host:port" (the --work CLI argument; the last colon wins so
 /// bracketless IPv6 still parses). False when no colon or the port is

@@ -45,11 +45,13 @@ def run(argv, timeout=120):
                           timeout=timeout)
 
 
-def expect(argv, code, needle=None):
-    """Runs argv; checks the exit code and that stderr+stdout holds needle."""
+def expect(argv, code, needle=None, absent=None):
+    """Runs argv; checks the exit code, that stderr+stdout holds needle,
+    and that it does not hold absent."""
     r = run(argv)
     out = r.stdout + r.stderr
-    ok = r.returncode == code and (needle is None or needle in out)
+    ok = (r.returncode == code and (needle is None or needle in out) and
+          (absent is None or absent not in out))
     label = " ".join(os.path.basename(a) if i == 0 else a
                      for i, a in enumerate(argv))
     print(("ok   " if ok else "FAIL ") + label + " -> %d" % r.returncode)
@@ -115,6 +117,22 @@ def main():
         expect([telechat, "--relay", "0", "127.0.0.1:1",
                 "--lease-timeout", "nan"], 2, "--lease-timeout")
         expect([telechat, "--relay", "-5", "127.0.0.1:1"], 2, "--relay")
+        # --serve and --relay read their downstream flags through one
+        # parser: a zero batch cap (every GetWork answered with Wait) is
+        # refused, not floored to 1, and a flag missing its value prints
+        # usage instead of reading as an unknown option.
+        expect(serve + ["--batch", "0"], 2, "--batch")
+        expect([telechat, "--relay", "0", "127.0.0.1:1", "--batch", "0"], 2,
+               "--batch")
+        expect([litmus_sim, "--relay", "0", "127.0.0.1:1", "--batch", "0"],
+               2, "--batch")
+        expect([telechat, "--relay", "0", "127.0.0.1:1", "--bind"], 1,
+               "usage: telechat", absent="unknown option")
+        expect([telechat, "--relay", "0", "127.0.0.1:1",
+                "--status-port", "70000"], 2, "--status-port")
+        # Server-only flags stay unknown to the relay.
+        expect([telechat, "--relay", "0", "127.0.0.1:1", "--dedupe"], 1,
+               "unknown option '--dedupe'")
         # Single-test mode.
         expect([telechat, mp, "--max-steps", "abc"], 2, "--max-steps")
         expect([telechat, mp, "-j", "-3"], 2, "-j")

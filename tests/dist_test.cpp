@@ -16,7 +16,6 @@
 #include "dist/CampaignJson.h"
 #include "dist/Journal.h"
 #include "dist/Protocol.h"
-#include "dist/Relay.h"
 #include "dist/Serialize.h"
 #include "dist/Socket.h"
 #include "dist/Wire.h"
@@ -666,6 +665,16 @@ TEST(LoopbackCampaignTest, EmptyCorpusFinishesWithoutWorkers) {
   CampaignReport Report = Server.run(); // Must return, not block.
   EXPECT_EQ(Report.Results.size(), 0u);
   EXPECT_EQ(Report.Requeues, 0u);
+}
+
+TEST(LoopbackCampaignTest, CorpusWhoseIdsAreNotPositionsIsRefused) {
+  std::vector<CampaignUnit> Units =
+      makeCampaignUnits({classicTest("MP"), classicTest("SB")});
+  std::swap(Units[0], Units[1]);
+  WorkServer Server(std::move(Units), {CampaignConfig{}},
+                    WorkServerOptions());
+  std::string Err = Server.start();
+  EXPECT_NE(Err.find("position 0 has id 1"), std::string::npos) << Err;
 }
 
 TEST(LoopbackCampaignTest, VersionMismatchIsRefused) {
@@ -1953,7 +1962,7 @@ TEST(RelayTest, RelayedCampaignMatchesFlatByteForByte) {
   // Every unit crossed the relay exactly once, both directions.
   EXPECT_EQ(RReport.UnitsRelayed, Local.Results.size());
   EXPECT_EQ(RReport.ResultsForwarded, Local.Results.size());
-  EXPECT_EQ(RReport.Workers, 2u);
+  EXPECT_EQ(RReport.Workers.size(), 2u);
   EXPECT_GT(RReport.PollWakeups, 0u);
 }
 
@@ -2051,6 +2060,357 @@ TEST(RelayTest, RefusesWhenUpstreamIsAbsent) {
   ASSERT_FALSE(Err.empty());
   EXPECT_NE(Err.find("upstream connect"), std::string::npos) << Err;
 }
+
+TEST(RelayTest, TwoTierChainMatchesLocalStreamByteForByte) {
+  // A relay may front another relay: server -> relay -> relay -> two
+  // workers merges the same bytes as the local streamed run, and every
+  // unit crosses both hops exactly once in each direction.
+  RandomGenOptions G = genSpec(33, 5);
+  std::vector<CampaignConfig> Configs = pipelineConfig();
+  LocalRun Local = runStreamedLocal(G, Configs);
+  std::string FlatJson =
+      campaignResultsJson(Local.Meta, Configs, Local.Results);
+
+  WorkServer Server(
+      std::make_unique<GeneratorUnitSource>(G, uint32_t(Configs.size())),
+      Configs, WorkServerOptions());
+  ASSERT_EQ(Server.start(), "");
+  CampaignReport Report;
+  std::thread Srv([&] { Report = Server.run(); });
+
+  RelayOptions NearOpts;
+  NearOpts.UpstreamPort = Server.port();
+  Relay Near(NearOpts);
+  ASSERT_EQ(Near.start(), "");
+  RelayReport NearReport;
+  std::thread NearThread([&] { NearReport = Near.run(); });
+
+  RelayOptions FarOpts;
+  FarOpts.UpstreamPort = Near.port();
+  Relay Far(FarOpts);
+  ASSERT_EQ(Far.start(), "");
+  RelayReport FarReport;
+  std::thread FarThread([&] { FarReport = Far.run(); });
+
+  WorkerOptions WOpts;
+  WOpts.Jobs = 2;
+  WOpts.BatchSize = 2;
+  uint16_t FarPort = Far.port();
+  std::thread W1([&] { runCampaignWorker("127.0.0.1", FarPort, WOpts); });
+  std::thread W2([&] { runCampaignWorker("127.0.0.1", FarPort, WOpts); });
+  W1.join();
+  W2.join();
+  FarThread.join();
+  NearThread.join();
+  Srv.join();
+
+  EXPECT_TRUE(Report.Error.empty()) << Report.Error;
+  EXPECT_TRUE(NearReport.Error.empty()) << NearReport.Error;
+  EXPECT_TRUE(FarReport.Error.empty()) << FarReport.Error;
+  ASSERT_EQ(Report.Results.size(), Local.Results.size());
+  EXPECT_EQ(campaignResultsJson(Report.UnitsMeta, Configs,
+                                Report.Results),
+            FlatJson);
+  for (const RelayReport *RR : {&NearReport, &FarReport}) {
+    EXPECT_EQ(RR->UnitsRelayed, Local.Results.size());
+    EXPECT_EQ(RR->ResultsForwarded, Local.Results.size());
+  }
+}
+
+TEST(RelayTest, HostileUpstreamUnitIdCannotCrashTheRelay) {
+  // A fake upstream leases the relay a single unit whose id is 2^62. The
+  // relay keys its own bookkeeping densely, so a real worker's result is
+  // forwarded under the upstream's id instead of the relay sizing a
+  // completion bitmap by it.
+  ErrorOr<TcpListener> Listener = TcpListener::listenOn(0, "127.0.0.1");
+  ASSERT_TRUE(Listener.hasValue()) << Listener.error();
+  std::vector<CampaignConfig> Configs = simOnlyConfig();
+  CampaignUnit Unit;
+  Unit.Id = uint64_t(1) << 62;
+  Unit.Test = classicTest("MP");
+  std::atomic<uint64_t> ForwardedId{0};
+  std::thread Upstream([&] {
+    ErrorOr<TcpSocket> S = Listener->accept();
+    if (!S)
+      return;
+    ErrorOr<Frame> Hello = recvFrame(*S);
+    if (!Hello || Hello->Type != uint8_t(Msg::Hello))
+      return;
+    WireBuffer Ack;
+    Ack.appendU16(WireVersion);
+    Ack.appendU64(1);
+    Ack.appendU32(uint32_t(Configs.size()));
+    for (const CampaignConfig &C : Configs)
+      encodeCampaignConfig(Ack, C);
+    if (!sendFrame(*S, uint8_t(Msg::HelloAck), Ack))
+      return;
+    bool Leased = false;
+    while (true) {
+      ErrorOr<Frame> F = recvFrame(*S);
+      if (!F || F->Type == uint8_t(Msg::Error))
+        return;
+      if (F->Type == uint8_t(Msg::Result)) {
+        WireCursor C(F->Payload);
+        ForwardedId = C.readU64();
+        WireBuffer Done;
+        Done.appendU64(1);
+        sendFrame(*S, uint8_t(Msg::Done), Done);
+        recvFrame(*S); // Until the relay hangs up.
+        return;
+      }
+      if (F->Type != uint8_t(Msg::GetWork))
+        return;
+      WireBuffer B;
+      if (Leased) {
+        B.appendU32(5);
+        sendFrame(*S, uint8_t(Msg::Wait), B);
+      } else {
+        B.appendU32(1);
+        encodeCampaignUnit(B, Unit);
+        sendFrame(*S, uint8_t(Msg::Work), B);
+        Leased = true;
+      }
+    }
+  });
+
+  RelayOptions ROpts;
+  ROpts.UpstreamPort = Listener->port();
+  Relay R(ROpts);
+  ASSERT_EQ(R.start(), "");
+  RelayReport RReport;
+  std::thread Rly([&] { RReport = R.run(); });
+  WorkerOptions WOpts;
+  WOpts.Jobs = 1;
+  ErrorOr<WorkerRunStats> Stats =
+      runCampaignWorker("127.0.0.1", R.port(), WOpts);
+  Rly.join();
+  Upstream.join();
+
+  ASSERT_TRUE(Stats.hasValue()) << Stats.error();
+  EXPECT_EQ(Stats->UnitsCompleted, 1u);
+  EXPECT_TRUE(RReport.Error.empty()) << RReport.Error;
+  EXPECT_EQ(RReport.ResultsForwarded, 1u);
+  EXPECT_EQ(ForwardedId.load(), Unit.Id);
+}
+
+//===----------------------------------------------------------------------===//
+// Downstream refusal battery: the same hostile clients against the work
+// server and against a relay in front of it
+//===----------------------------------------------------------------------===//
+
+/// A three-unit campaign whose downstream port is the work server's
+/// (param false) or a relay's in front of it (param true). Each case
+/// attacks that port with one hostile client; a well-behaved worker must
+/// then still finish the campaign byte-identically.
+class DownstreamRefusalTest : public testing::TestWithParam<bool> {
+protected:
+  std::vector<CampaignUnit> Units = makeCampaignUnits(
+      {classicTest("MP"), classicTest("SB"), classicTest("LB")});
+  std::vector<CampaignConfig> Configs = simOnlyConfig();
+  std::unique_ptr<WorkServer> Server;
+  std::unique_ptr<Relay> R;
+  CampaignReport Report;
+  RelayReport RReport;
+  std::thread Srv, Rly;
+
+  void SetUp() override {
+    Server = std::make_unique<WorkServer>(Units, Configs,
+                                          WorkServerOptions());
+    ASSERT_EQ(Server->start(), "");
+    Srv = std::thread([this] { Report = Server->run(); });
+    if (GetParam()) {
+      RelayOptions ROpts;
+      ROpts.UpstreamPort = Server->port();
+      R = std::make_unique<Relay>(ROpts);
+      ASSERT_EQ(R->start(), "");
+      Rly = std::thread([this] { RReport = R->run(); });
+    }
+  }
+
+  void TearDown() override {
+    // A failed assertion may leave the campaign waiting for workers.
+    if (Srv.joinable() || Rly.joinable())
+      runWorker();
+    if (Rly.joinable())
+      Rly.join();
+    if (Srv.joinable())
+      Srv.join();
+  }
+
+  uint16_t port() const { return GetParam() ? R->port() : Server->port(); }
+
+  /// Requeues counted by the tier the hostile client talked to.
+  uint64_t tierRequeues() const {
+    return GetParam() ? RReport.Requeues : Report.Requeues;
+  }
+
+  ErrorOr<WorkerRunStats> runWorker() {
+    WorkerOptions WOpts;
+    WOpts.Jobs = 1;
+    return runCampaignWorker("127.0.0.1", port(), WOpts);
+  }
+
+  TcpSocket connect() {
+    ErrorOr<TcpSocket> S = tcpConnect("127.0.0.1", port(), 5.0);
+    EXPECT_TRUE(S.hasValue()) << S.error();
+    return S ? std::move(*S) : TcpSocket();
+  }
+
+  void sendHello(TcpSocket &S, uint32_t Magic, uint16_t Version) {
+    WireBuffer B;
+    B.appendU32(Magic);
+    B.appendU16(Version);
+    B.appendU32(1);
+    ASSERT_TRUE(sendFrame(S, uint8_t(Msg::Hello), B));
+  }
+
+  void handshake(TcpSocket &S) {
+    sendHello(S, WireMagic, WireVersion);
+    ErrorOr<Frame> Ack = recvFrame(S);
+    ASSERT_TRUE(Ack.hasValue()) << Ack.error();
+    ASSERT_EQ(Ack->Type, uint8_t(Msg::HelloAck));
+  }
+
+  /// Pulls Work frames (a relay answers Wait while it fills from
+  /// upstream) until one arrives; returns its first unit's id.
+  uint64_t leaseOne(TcpSocket &S) {
+    for (int Tries = 0; Tries != 1000; ++Tries) {
+      WireBuffer G;
+      G.appendU32(1);
+      EXPECT_TRUE(sendFrame(S, uint8_t(Msg::GetWork), G));
+      ErrorOr<Frame> Reply = recvFrame(S);
+      if (!Reply)
+        break;
+      if (Reply->Type == uint8_t(Msg::Wait)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        continue;
+      }
+      EXPECT_EQ(Reply->Type, uint8_t(Msg::Work));
+      WireCursor C(Reply->Payload);
+      CampaignUnit U;
+      EXPECT_EQ(C.readCount(16), 1u);
+      EXPECT_TRUE(decodeCampaignUnit(C, U));
+      return U.Id;
+    }
+    ADD_FAILURE() << "no Work frame";
+    return 0;
+  }
+
+  /// The next frame on \p S is an Error whose text contains \p Needle;
+  /// returns the text.
+  std::string expectRefusal(TcpSocket &S, const std::string &Needle) {
+    ErrorOr<Frame> Reply = recvFrame(S);
+    if (!Reply || Reply->Type != uint8_t(Msg::Error)) {
+      ADD_FAILURE() << "expected an Error frame";
+      return "";
+    }
+    WireCursor C(Reply->Payload);
+    std::string Text = C.readString();
+    EXPECT_NE(Text.find(Needle), std::string::npos) << Text;
+    return Text;
+  }
+
+  /// A well-behaved worker finishes the campaign: results byte-identical
+  /// to local execution, nothing fabricated merged or forwarded.
+  void expectCleanFinish() {
+    std::vector<TelechatResult> Ref;
+    for (const CampaignUnit &U : Units)
+      Ref.push_back(runCampaignUnit(U, Configs));
+    ErrorOr<WorkerRunStats> Stats = runWorker();
+    if (Rly.joinable())
+      Rly.join();
+    Srv.join();
+    ASSERT_TRUE(Stats.hasValue()) << Stats.error();
+    EXPECT_TRUE(Stats->CleanDone);
+    EXPECT_TRUE(Report.Error.empty()) << Report.Error;
+    EXPECT_TRUE(RReport.Error.empty()) << RReport.Error;
+    EXPECT_EQ(Report.DuplicateResults, 0u);
+    if (GetParam())
+      EXPECT_EQ(RReport.ResultsForwarded, Units.size());
+    EXPECT_EQ(campaignResultsJson(Report.UnitsMeta, Configs,
+                                  Report.Results),
+              campaignResultsJson(Units, Configs, Ref));
+  }
+};
+
+TEST_P(DownstreamRefusalTest, NonHelloFirstFrame) {
+  TcpSocket S = connect();
+  WireBuffer G;
+  G.appendU32(4);
+  ASSERT_TRUE(sendFrame(S, uint8_t(Msg::GetWork), G));
+  expectRefusal(S, "expected Hello");
+  expectCleanFinish();
+}
+
+TEST_P(DownstreamRefusalTest, BadMagic) {
+  TcpSocket S = connect();
+  sendHello(S, 0xdeadbeef, WireVersion);
+  expectRefusal(S, "bad magic");
+  expectCleanFinish();
+}
+
+TEST_P(DownstreamRefusalTest, VersionSkewNamesBothVersions) {
+  for (uint16_t Skewed : {uint16_t(WireVersion - 1),
+                          uint16_t(WireVersion + 1)}) {
+    TcpSocket S = connect();
+    sendHello(S, WireMagic, Skewed);
+    std::string Text = expectRefusal(S, "protocol version mismatch");
+    EXPECT_NE(Text.find(strFormat("%u, worker %u", unsigned(WireVersion),
+                                  unsigned(Skewed))),
+              std::string::npos)
+        << Text;
+  }
+  expectCleanFinish();
+}
+
+TEST_P(DownstreamRefusalTest, ResultForAUnitNotLeasedHere) {
+  TcpSocket S = connect();
+  handshake(S);
+  // A well-formed result this connection has no lease for: merging or
+  // forwarding it would plant a fabricated verdict in the campaign.
+  WireBuffer B;
+  B.appendU64(0);
+  encodeTelechatResult(B, TelechatResult());
+  ASSERT_TRUE(sendFrame(S, uint8_t(Msg::Result), B));
+  expectRefusal(S, "result for a unit not leased here");
+  expectCleanFinish();
+}
+
+TEST_P(DownstreamRefusalTest, MalformedResultRequeuesTheLease) {
+  TcpSocket S = connect();
+  handshake(S);
+  uint64_t Id = leaseOne(S);
+  WireBuffer B;
+  B.appendU64(Id); // The id of a held lease, then no result body.
+  ASSERT_TRUE(sendFrame(S, uint8_t(Msg::Result), B));
+  expectRefusal(S, "malformed Result");
+  expectCleanFinish();
+  EXPECT_GE(tierRequeues(), 1u);
+}
+
+TEST_P(DownstreamRefusalTest, OversizedLengthPrefixIsACorruptStream) {
+  TcpSocket S = connect();
+  handshake(S);
+  const uint8_t Bytes[] = {0xff, 0xff, 0xff, 0xff, uint8_t(Msg::GetWork)};
+  ASSERT_TRUE(S.sendAll(Bytes, sizeof(Bytes)));
+  expectRefusal(S, "corrupt frame stream");
+  expectCleanFinish();
+}
+
+TEST_P(DownstreamRefusalTest, UnknownMessageType) {
+  TcpSocket S = connect();
+  handshake(S);
+  ASSERT_TRUE(sendFrame(S, 0x7f, WireBuffer()));
+  expectRefusal(S, "unexpected message type 127");
+  expectCleanFinish();
+}
+
+INSTANTIATE_TEST_SUITE_P(ServerAndRelay, DownstreamRefusalTest,
+                         testing::Bool(),
+                         [](const testing::TestParamInfo<bool> &I) {
+                           return std::string(I.param ? "Relay"
+                                                      : "Server");
+                         });
 
 //===----------------------------------------------------------------------===//
 // Live status endpoint

@@ -27,7 +27,6 @@
 #include "asmcore/AsmParser.h"
 #include "asmcore/Semantics.h"
 #include "dist/CampaignCli.h"
-#include "dist/Relay.h"
 #include "dist/Worker.h"
 #include "sim/Backend.h"
 #include "events/Dot.h"

@@ -35,7 +35,6 @@
 #include "core/Fuzz.h"
 #include "core/Telechat.h"
 #include "dist/CampaignCli.h"
-#include "dist/Relay.h"
 #include "dist/Worker.h"
 #include "litmus/Parser.h"
 #include "litmus/Printer.h"
