@@ -1,4 +1,4 @@
-//===--- CampaignCli.cpp - Shared campaign/serve CLI driver ---------------===//
+//===--- CampaignCli.cpp - Shared service-mode CLI drivers ----------------===//
 //
 // Part of the Télétchat reproduction. MIT licensed; see README.md.
 //
@@ -14,16 +14,13 @@
 #include "diy/Classics.h"
 #include "diy/Config.h"
 #include "diy/Generator.h"
-#include "diy/RealWorld.h"
 #include "litmus/Snippet.h"
+#include "models/Models.h"
 #include "sim/Backend.h"
-#include "support/StringUtils.h"
 #include "support/ThreadPool.h"
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -37,11 +34,14 @@ using namespace telechat;
 
 namespace {
 
+const char *const PipelineGroup = "pipeline (single test and campaigns)";
+const char *const SimGroup = "simulation";
+
 /// A corpus flag, recorded during parsing and materialised afterwards so
 /// flag order does not matter (--limit may follow --suite).
 struct CorpusSpec {
-  enum class Kind { File, Suite, RealWorldSuite, Classics, KernelDir } K;
-  std::string Value; ///< RealWorldSuite: family name, or "" for all.
+  enum class Kind { File, Suite, Classics, KernelDir } K;
+  std::string Value; ///< File or directory path, or suite name.
 };
 
 /// Expands the specs (in the order given) into the campaign corpus.
@@ -49,61 +49,28 @@ struct CorpusSpec {
 bool buildCorpus(const std::vector<CorpusSpec> &Specs, unsigned SuiteLimit,
                  std::vector<LitmusTest> &Tests) {
   for (const CorpusSpec &Spec : Specs) {
+    ErrorOr<std::vector<LitmusTest>> Part = std::vector<LitmusTest>();
     switch (Spec.K) {
-    case CorpusSpec::Kind::File: {
-      ErrorOr<std::vector<LitmusTest>> FileTests =
-          readLitmusCorpus(Spec.Value);
-      if (!FileTests) {
-        fprintf(stderr, "error: %s\n", FileTests.error().c_str());
-        return false;
-      }
-      Tests.insert(Tests.end(), FileTests->begin(), FileTests->end());
+    case CorpusSpec::Kind::File:
+      Part = readLitmusCorpus(Spec.Value);
       break;
-    }
-    case CorpusSpec::Kind::Suite: {
-      SuiteConfig Config = Spec.Value == "c11acq" ? SuiteConfig::c11Acq()
-                                                  : SuiteConfig::c11();
-      Config.Limit = SuiteLimit;
-      std::vector<LitmusTest> Suite = generateSuite(Config);
-      Tests.insert(Tests.end(), Suite.begin(), Suite.end());
+    case CorpusSpec::Kind::Suite:
+      Part = suiteTests(Spec.Value, SuiteLimit);
       break;
-    }
-    case CorpusSpec::Kind::RealWorldSuite: {
-      std::vector<LitmusTest> Suite;
-      if (Spec.Value.empty()) {
-        Suite = realWorldTests();
-      } else {
-        ErrorOr<std::vector<RealWorldCase>> Family =
-            realWorldFamily(Spec.Value);
-        if (!Family) {
-          fprintf(stderr, "error: %s\n", Family.error().c_str());
-          return false;
-        }
-        for (RealWorldCase &C : *Family)
-          Suite.push_back(std::move(C.Test));
-      }
-      if (SuiteLimit && Suite.size() > SuiteLimit)
-        Suite.resize(SuiteLimit);
-      Tests.insert(Tests.end(), std::make_move_iterator(Suite.begin()),
-                   std::make_move_iterator(Suite.end()));
-      break;
-    }
     case CorpusSpec::Kind::Classics:
       for (const std::string &Name : classicNames())
-        Tests.push_back(classicTest(Name));
+        Part->push_back(classicTest(Name));
       break;
-    case CorpusSpec::Kind::KernelDir: {
-      ErrorOr<std::vector<LitmusTest>> Kernels =
-          readKernelDirectory(Spec.Value);
-      if (!Kernels) {
-        fprintf(stderr, "error: %s\n", Kernels.error().c_str());
-        return false;
-      }
-      Tests.insert(Tests.end(), std::make_move_iterator(Kernels->begin()),
-                   std::make_move_iterator(Kernels->end()));
+    case CorpusSpec::Kind::KernelDir:
+      Part = readKernelDirectory(Spec.Value);
       break;
     }
+    if (!Part) {
+      fprintf(stderr, "error: %s\n", Part.error().c_str());
+      return false;
     }
+    Tests.insert(Tests.end(), std::make_move_iterator(Part->begin()),
+                 std::make_move_iterator(Part->end()));
   }
   return true;
 }
@@ -170,254 +137,216 @@ int summariseSim(const std::vector<CampaignUnitMeta> &Units,
   return incompleteExit(Errors, Timeouts);
 }
 
-/// The downstream flags of --serve and --relay, parsed in one place:
-/// --bind, --batch, --lease-timeout, --status-port, --verbose. Returns
-/// -1 when argv[I] is none of them, 0 once it is consumed (I then points
-/// at its value), else the exit code: 1 for a missing value (after
-/// Usage), 2 for a refused number.
-int parseLeaseServerFlag(int argc, char **argv, int &I,
-                         LeaseServerOptions &Opts, void (*Usage)()) {
-  std::string Arg = argv[I];
-  if (Arg == "--verbose") {
-    Opts.Verbose = true;
-    return 0;
-  }
-  if (Arg != "--bind" && Arg != "--batch" && Arg != "--lease-timeout" &&
-      Arg != "--status-port")
-    return -1;
-  if (I + 1 == argc) {
-    Usage();
-    return 1;
-  }
-  const char *V = argv[++I];
-  bool Ok = true;
-  if (Arg == "--bind")
-    Opts.BindAddress = V;
-  else if (Arg == "--batch") // 0 would answer every GetWork with Wait.
-    Ok = parseFlagNumber("--batch", V, 1u, UINT32_MAX,
-                         Opts.MaxUnitsPerRequest);
-  else if (Arg == "--lease-timeout")
-    Ok = parseFlagNumber("--lease-timeout", V, 0.001, 1e9,
-                         Opts.LeaseTimeoutSeconds);
-  else
-    Ok = parseFlagNumber("--status-port", V, -1, 65535, Opts.StatusPort);
-  return Ok ? 0 : 2;
-}
-
-} // namespace
-
-int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
-                               CampaignCliMode Mode) {
-  bool Serve = Mode != CampaignCliMode::Local;
+/// Everything the campaign/serve flags set.
+struct CampaignArgs {
   std::string ProfileName = "llvm-O2-AArch64";
   TestOptions Options;
-  bool ConfigFlagsSet = false; ///< --profile/--model/... explicitly given.
   unsigned Jobs = 0;
   std::vector<CorpusSpec> Corpus;
   unsigned SuiteLimit = 0;
   RandomGenOptions GenOpts;
-  bool UseGen = false, GenExtras = false, Materialise = false;
-  std::string JournalPath;
-  bool Resume = false, Compact = false;
-  std::string CampaignJsonPath, EngineJsonPath;
+  bool Materialise = false, Resume = false, Compact = false;
+  std::string JournalPath, CampaignJsonPath, EngineJsonPath;
   WorkServerOptions ServerOpts;
-  bool Dedupe = false;
-  int I = 2;
-  if (Serve) {
-    if (argc < 3) {
-      Usage();
-      return 1;
-    }
-    if (!parseFlagNumber("--serve", argv[2], uint16_t(0), uint16_t(65535),
-                         ServerOpts.Port))
-      return 2;
-    I = 3;
-  }
-  for (; I < argc; ++I) {
-    if (int Rc = parseLeaseServerFlag(argc, argv, I, ServerOpts, Usage);
-        Rc >= 0) {
-      if (Rc)
-        return Rc;
-      continue;
-    }
-    std::string Arg = argv[I];
-    auto Next = [&]() -> const char * {
-      return I + 1 < argc ? argv[++I] : nullptr;
-    };
-    const char *V = nullptr;
-    if (Arg == "--limit") {
-      if (!(V = Next())) {
-        Usage();
-        return 1;
-      }
-      if (!parseFlagNumber("--limit", V, 0u, UINT32_MAX, SuiteLimit))
-        return 2;
-    } else if (Arg == "--corpus" || Arg == "--suite") {
-      if (!(V = Next())) {
-        Usage();
-        return 1;
-      }
-      std::string Val = V;
-      if (Arg == "--suite" && Val.rfind("realworld", 0) == 0 &&
-          (Val.size() == strlen("realworld") ||
-           Val[strlen("realworld")] == ':')) {
-        std::string Family = Val.size() > strlen("realworld")
-                                 ? Val.substr(strlen("realworld") + 1)
-                                 : "";
-        Corpus.push_back(
-            CorpusSpec{CorpusSpec::Kind::RealWorldSuite, Family});
-      } else {
-        Corpus.push_back(CorpusSpec{Arg == "--corpus"
-                                        ? CorpusSpec::Kind::File
-                                        : CorpusSpec::Kind::Suite,
-                                    Val});
-      }
-    } else if (Arg == "--classics") {
-      Corpus.push_back(CorpusSpec{CorpusSpec::Kind::Classics, ""});
-    } else if (Arg == "--kernels") {
-      if (!(V = Next())) {
-        Usage();
-        return 1;
-      }
-      Corpus.push_back(CorpusSpec{CorpusSpec::Kind::KernelDir, V});
-    } else if (Arg == "--gen-seed") {
-      if (!(V = Next())) {
-        Usage();
-        return 1;
-      }
-      UseGen = true;
-      if (!parseFlagNumber("--gen-seed", V, uint64_t(0), UINT64_MAX,
-                           GenOpts.Seed))
-        return 2;
-    } else if (Arg == "--gen-count") {
-      if (!(V = Next())) {
-        Usage();
-        return 1;
-      }
-      GenExtras = true;
-      if (!parseFlagNumber("--gen-count", V, 0u, UINT32_MAX, GenOpts.Count))
-        return 2;
-    } else if (Arg == "--gen-max-edges") {
-      if (!(V = Next())) {
-        Usage();
-        return 1;
-      }
-      GenExtras = true;
-      if (!parseFlagNumber("--gen-max-edges", V, 0u, UINT32_MAX,
-                           GenOpts.MaxEdges))
-        return 2;
-    } else if (Arg == "--materialise" || Arg == "--materialize") {
-      Materialise = true;
-    } else if (Arg == "--journal") {
-      if (!(V = Next())) {
-        Usage();
-        return 1;
-      }
-      JournalPath = V;
-    } else if (Arg == "--resume") {
-      Resume = true;
-    } else if (Arg == "--compact") {
-      Compact = true;
-    } else if (Arg == "--profile") {
-      if (!(V = Next())) {
-        Usage();
-        return 1;
-      }
-      ProfileName = V;
-      ConfigFlagsSet = true;
-    } else if (Arg == "--model") {
-      if (!(V = Next())) {
-        Usage();
-        return 1;
-      }
-      Options.SourceModel = V;
-      ConfigFlagsSet = true;
-    } else if (Arg == "--no-augment") {
-      Options.AugmentLocals = false;
-      ConfigFlagsSet = true;
-    } else if (Arg == "--no-optimise") {
-      Options.OptimiseCompiled = false;
-      ConfigFlagsSet = true;
-    } else if (Arg == "--const-model") {
-      Options.ConstAugmentedModel = true;
-      ConfigFlagsSet = true;
-    } else if (Arg == "--backend") {
-      if (!(V = Next()) || !backendFromName(V, Options.Sim.Backend)) {
-        fprintf(stderr, "error: --backend expects sweep|solve|auto|explore\n");
-        return 1;
-      }
-      ConfigFlagsSet = true;
-    } else if (Arg == "--explore-budget") {
-      if (!(V = Next())) {
-        Usage();
-        return 1;
-      }
-      if (!parseFlagNumber("--explore-budget", V, uint64_t(0), UINT64_MAX,
-                           Options.Sim.ExploreBudget))
-        return 2;
-      ConfigFlagsSet = true;
-    } else if (Arg == "--no-prune") {
-      Options.Sim.RfValuePruning = false;
-      ConfigFlagsSet = true;
-    } else if (Arg == "--no-transform") {
-      Options.Sim.RfTransformDomain = false;
-      ConfigFlagsSet = true;
-    } else if (Arg == "--no-cat-cache") {
-      Options.Sim.IncrementalCatEval = false;
-      ConfigFlagsSet = true;
-    } else if (Arg == "--max-steps") {
-      if (!(V = Next())) {
-        Usage();
-        return 1;
-      }
-      if (!parseFlagNumber("--max-steps", V, uint64_t(1), UINT64_MAX,
-                           Options.Sim.MaxSteps))
-        return 2;
-      ConfigFlagsSet = true;
-    } else if (Arg == "-j" || Arg == "--jobs") {
-      if (!(V = Next())) {
-        Usage();
-        return 1;
-      }
-      if (!parseFlagNumber("-j", V, 0u, kMaxJobs, Jobs))
-        return 2;
-    } else if (Arg == "--campaign-json") {
-      if (!(V = Next())) {
-        Usage();
-        return 1;
-      }
-      CampaignJsonPath = V;
-    } else if (Arg == "--engine-json") {
-      if (!(V = Next())) {
-        Usage();
-        return 1;
-      }
-      EngineJsonPath = V;
-    } else if (Arg == "--dedupe") {
-      Dedupe = true;
-    } else {
-      fprintf(stderr, "unknown option '%s'\n", Arg.c_str());
-      Usage();
-      return 1;
-    }
-  }
+};
 
-  if (UseGen && !Corpus.empty()) {
+/// The lease-server group: the downstream knobs of --serve and --relay.
+void addLeaseServerFlags(FlagTable &T, LeaseServerOptions &O) {
+  T.add("lease server (--serve, --relay)",
+        {cliString("--bind", "<addr>", O.BindAddress,
+                   "listen address (default 127.0.0.1)"),
+         // 0 would answer every GetWork with Wait.
+         cliNumber("--batch", "<n>", O.MaxUnitsPerRequest, 1, UINT32_MAX,
+                   "max units per Work frame (default 64)"),
+         cliNumber("--lease-timeout", "<s>", O.LeaseTimeoutSeconds, 0.001,
+                   1e9, "re-issue stalled leases (default 120)"),
+         cliNumber("--status-port", "<p>", O.StatusPort, -1, 65535,
+                   "HTTP status endpoint: GET /status ->\n"
+                   "live campaign JSON"),
+         cliSwitch("--verbose", O.Verbose, true, "progress lines on stderr")});
+}
+
+FlagTable campaignFlags(CampaignArgs &A) {
+  auto Add = [&A](CorpusSpec::Kind K) {
+    return [&A, K](const char *V) {
+      A.Corpus.push_back({K, V ? V : ""});
+      return true;
+    };
+  };
+  FlagTable T;
+  T.add("corpus (--campaign, --serve; any mix, kept in the order given)",
+        {{"--corpus", nullptr, "<file>",
+          "litmus file; may hold many tests (each\n"
+          "starting with a 'C <name>' line)",
+          Add(CorpusSpec::Kind::File)},
+         {"--kernels", nullptr, "<dir>",
+          "directory of C++ kernel-snippet files\n"
+          "(litmus/Snippet.h), lexicographic order",
+          Add(CorpusSpec::Kind::KernelDir)},
+         cliEnum("--suite", "<name>", suiteNames(),
+                 [&A](const std::string &S) {
+                   A.Corpus.push_back({CorpusSpec::Kind::Suite, S});
+                 },
+                 "generated suite: c11, c11acq, or\n"
+                 "realworld[:family] (families: spsc, mpmc,\n"
+                 "seqlock, dclp, flagmsg, peterson)"),
+         cliNumber("--limit", "<n>", A.SuiteLimit, 0, UINT32_MAX,
+                   "cap on each --suite's tests (0 = all)"),
+         {"--classics", nullptr, nullptr,
+          "the classic families (MP, SB, IRIW, ...)",
+          Add(CorpusSpec::Kind::Classics)},
+         cliNumber("--gen-seed", "<n>", A.GenOpts.Seed, 0, UINT64_MAX,
+                   "stream seeded diy generation instead of a\n"
+                   "corpus (exclusive with the flags above)"),
+         cliNumber("--gen-count", "<n>", A.GenOpts.Count, 0, UINT32_MAX,
+                   "tests to generate (default 10)"),
+         cliNumber("--gen-max-edges", "<n>", A.GenOpts.MaxEdges, 0,
+                   UINT32_MAX, "cycle length cap (default 6)"),
+         {"--materialise", "--materialize", nullptr,
+          "expand --gen-* up front instead of\n"
+          "streaming (debugging; same results)",
+          [&A](const char *) {
+            A.Materialise = true;
+            return true;
+          }}});
+  T.add("campaign (--campaign, --serve)",
+        {cliJobs(A.Jobs, "executor threads (0 = all hardware threads)"),
+         cliString("--campaign-json", "<f>", A.CampaignJsonPath,
+                   "deterministic merged results (byte-equal\n"
+                   "between --campaign and --serve, streamed\n"
+                   "or materialised, resumed or not)"),
+         cliString("--engine-json", "<f>", A.EngineJsonPath,
+                   "throughput/requeue telemetry (--serve)"),
+         cliSwitch("--dedupe", A.ServerOpts.Dedupe, true,
+                   "execute one unit per canonical test\n"
+                   "shape (litmus/Canon.h) and rename its\n"
+                   "result onto the duplicates")});
+  T.add("journal (--campaign, --serve)",
+        {cliString("--journal", "<f>", A.JournalPath,
+                   "append-only campaign journal: spec +\n"
+                   "every accepted result"),
+         cliSwitch("--resume", A.Resume, true,
+                   "replay --journal; only incomplete units\n"
+                   "are served/executed again"),
+         cliSwitch("--compact", A.Compact, true,
+                   "after a clean campaign, rewrite the\n"
+                   "journal as header + results in unit-id\n"
+                   "order (duplicates and partial tail\n"
+                   "dropped); resume stays byte-identical")});
+  addPipelineFlags(T, A.ProfileName, A.Options);
+  addSimFlags(T, A.Options.Sim);
+  addLeaseServerFlags(T, A.ServerOpts);
+  return T;
+}
+
+FlagTable relayFlags(RelayOptions &O) {
+  FlagTable T;
+  T.operand(cliNumber("--relay", nullptr, O.Port, 0, 65535, nullptr));
+  T.operand(cliHostPort("--relay", O.UpstreamHost, O.UpstreamPort, nullptr));
+  addLeaseServerFlags(T, O);
+  return T;
+}
+
+FlagTable workerFlags(std::string &Host, uint16_t &Port, WorkerOptions &O) {
+  FlagTable T;
+  T.operand(cliHostPort("--work", Host, Port, nullptr));
+  T.add("worker (--work)",
+        {cliJobs(O.Jobs, "executor threads (0 = all hardware threads)"),
+         cliNumber("--batch", "<n>", O.BatchSize, 0, UINT32_MAX,
+                   "units per request (0 = twice the pool)"),
+         cliNumber("--max-units", "<n>", O.KillAfterResults, 0, UINT64_MAX,
+                   "fault drill: drop the connection after\n"
+                   "n results"),
+         cliSwitch("--verbose", O.Verbose, true, "progress lines on stderr")});
+  return T;
+}
+
+} // namespace
+
+void telechat::addPipelineFlags(FlagTable &T, std::string &ProfileName,
+                                TestOptions &Options) {
+  T.add(PipelineGroup,
+        {cliString("--profile", "<name>", ProfileName,
+                   "compiler profile (default llvm-O2-AArch64),\n"
+                   "e.g. gcc-O1-ARMv7, llvm-O3-AArch64+lse+rcpc"),
+         cliEnum("--model", "<name>", modelNames(),
+                 [&Options](const std::string &M) { Options.SourceModel = M; },
+                 "source model (default rc11)"),
+         cliSwitch("--no-augment", Options.AugmentLocals, false,
+                   "disable local-variable augmentation"),
+         cliSwitch("--no-optimise", Options.OptimiseCompiled, false,
+                   "disable the s2l litmus optimiser"),
+         cliSwitch("--const-model", Options.ConstAugmentedModel, true,
+                   "use the const-violation-flagging model"),
+         cliNumber("--explore-budget", "<n>", Options.Sim.ExploreBudget, 0,
+                   UINT64_MAX,
+                   "reroute compiled tests whose estimated rf\n"
+                   "space reaches n to the explore backend")});
+}
+
+void telechat::addSimFlags(FlagTable &T, SimOptions &Sim) {
+  T.add(SimGroup,
+        {cliEnum("--backend", "<b>", {"sweep", "solve", "auto", "explore"},
+                 [&Sim](const std::string &V) {
+                   backendFromName(V, Sim.Backend);
+                 },
+                 "consistency engine: sweep (default), solve\n"
+                 "or auto (picks by estimated rf-space size)\n"
+                 "give identical outcomes; explore (dynamic\n"
+                 "schedule exploration) reports a sound subset"),
+         cliNumber("--max-steps", "<n>", Sim.MaxSteps, 1, UINT64_MAX,
+                   "simulation budget (default 2000000)"),
+         cliSwitch("--no-prune", Sim.RfValuePruning, false,
+                   "disable rf value-constraint pruning"),
+         cliSwitch("--no-transform", Sim.RfTransformDomain, false,
+                   "copy-chain-only pruning domain (no\n"
+                   "arithmetic transforms)"),
+         cliSwitch("--no-cat-cache", Sim.IncrementalCatEval, false,
+                   "disable incremental Cat evaluation")});
+}
+
+void telechat::printToolUsage(const char *Synopsis, const FlagTable &Single) {
+  fputs(Synopsis, stderr);
+  std::set<std::string> Printed;
+  Single.printHelp(Printed);
+  CampaignArgs Campaign;
+  campaignFlags(Campaign).printHelp(Printed);
+  std::string Host;
+  uint16_t Port = 0;
+  WorkerOptions Worker;
+  workerFlags(Host, Port, Worker).printHelp(Printed);
+}
+
+int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
+                               CampaignCliMode Mode) {
+  bool Serve = Mode != CampaignCliMode::Local;
+  CampaignArgs Cli;
+  FlagTable Flags = campaignFlags(Cli);
+  if (Serve)
+    Flags.operand(
+        cliNumber("--serve", nullptr, Cli.ServerOpts.Port, 0, 65535, nullptr));
+  if (int Rc = Flags.parse(argc, argv, 2, Usage))
+    return Rc;
+  bool UseGen = Flags.given("--gen-seed");
+  bool GenExtras =
+      Flags.given("--gen-count") || Flags.given("--gen-max-edges");
+
+  if (UseGen && !Cli.Corpus.empty()) {
     fprintf(stderr, "error: --gen-seed cannot mix with "
                     "--corpus/--suite/--classics (unit ids would be "
                     "ambiguous)\n");
     return 1;
   }
-  if (!UseGen && (GenExtras || Materialise)) {
+  if (!UseGen && (GenExtras || Cli.Materialise)) {
     fprintf(stderr, "error: --gen-count/--gen-max-edges/--materialise "
                     "require --gen-seed\n");
     return 1;
   }
-  if (Resume && JournalPath.empty()) {
+  if (Cli.Resume && Cli.JournalPath.empty()) {
     fprintf(stderr, "error: --resume requires --journal\n");
     return 1;
   }
-  if (Compact && JournalPath.empty()) {
+  if (Cli.Compact && Cli.JournalPath.empty()) {
     fprintf(stderr, "error: --compact requires --journal\n");
     return 1;
   }
@@ -428,10 +357,10 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
   JournalWriter Journal;
   std::vector<std::pair<uint64_t, TelechatResult>> Replay;
 
-  if (Resume) {
+  if (Cli.Resume) {
     // The journal is authoritative: it records the spec and configs the
     // crashed server ran, which are what the replayed results belong to.
-    ErrorOr<JournalContents> J = readJournal(JournalPath);
+    ErrorOr<JournalContents> J = readJournal(Cli.JournalPath);
     if (!J) {
       fprintf(stderr, "error: %s\n", J.error().c_str());
       return 1;
@@ -440,8 +369,9 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
       fprintf(stderr,
               "note: %s ends in a partial record (server died "
               "mid-append); the tail was discarded\n",
-              JournalPath.c_str());
-    if (UseGen || !Corpus.empty() || ConfigFlagsSet)
+              Cli.JournalPath.c_str());
+    if (UseGen || !Cli.Corpus.empty() || Flags.groupGiven(PipelineGroup) ||
+        Flags.groupGiven(SimGroup))
       fprintf(stderr,
               "note: --resume replays the journal's campaign spec and "
               "config table; corpus/generator/profile/model flags are "
@@ -451,37 +381,37 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
     Replay = std::move(J->Results);
     if (Configs.empty()) {
       fprintf(stderr, "error: %s: empty config table\n",
-              JournalPath.c_str());
+              Cli.JournalPath.c_str());
       return 1;
     }
     SimOnly = Configs[0].SimulateOnly;
     // Truncate to the valid prefix: appending behind a discarded
     // partial tail would corrupt the framing for the next resume.
-    std::string E = Journal.openAppend(JournalPath, J->ValidBytes);
+    std::string E = Journal.openAppend(Cli.JournalPath, J->ValidBytes);
     if (!E.empty()) {
       fprintf(stderr, "error: %s\n", E.c_str());
       return 1;
     }
     printf("resuming campaign from %s: %zu results replayed\n",
-           JournalPath.c_str(), Replay.size());
+           Cli.JournalPath.c_str(), Replay.size());
   } else {
     Profile P;
-    if (!SimOnly && !profileFromName(ProfileName, P)) {
-      fprintf(stderr, "error: unknown profile '%s'\n", ProfileName.c_str());
+    if (!SimOnly && !profileFromName(Cli.ProfileName, P)) {
+      fprintf(stderr, "error: unknown profile '%s'\n", Cli.ProfileName.c_str());
       return 1;
     }
-    Configs = {{P, Options, SimOnly}};
-    if (UseGen && !Materialise) {
+    Configs = {{P, Cli.Options, SimOnly}};
+    if (UseGen && !Cli.Materialise) {
       // Streamed: the corpus exists only as this spec; units are
       // generated as they are leased (or executed, locally).
       Spec.K = CampaignSourceSpec::Kind::Generator;
-      Spec.Gen = GenOpts;
+      Spec.Gen = Cli.GenOpts;
       Spec.NumConfigs = uint32_t(Configs.size());
     } else {
       std::vector<LitmusTest> Tests;
       if (UseGen) {
-        Tests = generateRandomTests(GenOpts);
-      } else if (!buildCorpus(Corpus, SuiteLimit, Tests)) {
+        Tests = generateRandomTests(Cli.GenOpts);
+      } else if (!buildCorpus(Cli.Corpus, Cli.SuiteLimit, Tests)) {
         return 1;
       }
       if (Tests.empty()) {
@@ -494,17 +424,17 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
       Spec.K = CampaignSourceSpec::Kind::Corpus;
       Spec.Units = makeCampaignUnits(Tests);
     }
-    if (!JournalPath.empty()) {
+    if (!Cli.JournalPath.empty()) {
       // Exists-check up front (cheap, before corpus work); the journal
       // itself is only created once the server has bound its port, so a
       // failed bind cannot orphan a header-only file that would block a
       // plain retry of the same command.
-      std::ifstream Probe(JournalPath);
+      std::ifstream Probe(Cli.JournalPath);
       if (Probe) {
         fprintf(stderr,
                 "error: journal %s already exists; restart with "
                 "--resume to continue it, or remove it\n",
-                JournalPath.c_str());
+                Cli.JournalPath.c_str());
         return 1;
       }
     }
@@ -517,16 +447,15 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
   std::string ServeError;
 
   if (Serve) {
-    ServerOpts.Dedupe = Dedupe;
     bool Streamed = Spec.K == CampaignSourceSpec::Kind::Generator;
     // A journal header needs the spec intact, so only the journal-free
     // path can move the corpus into the source; the journaled path
     // drops its duplicate right after the header is written below.
-    bool CreateJournal = !JournalPath.empty() && !Resume;
+    bool CreateJournal = !Cli.JournalPath.empty() && !Cli.Resume;
     std::unique_ptr<UnitSource> Source =
         CreateJournal ? Spec.makeSource() : Spec.takeSource();
     uint64_t Hint = Source->sizeHint();
-    WorkServer Server(std::move(Source), Configs, ServerOpts);
+    WorkServer Server(std::move(Source), Configs, Cli.ServerOpts);
     if (!Replay.empty())
       Server.preloadResults(std::move(Replay));
     std::string Error = Server.start();
@@ -535,7 +464,7 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
       return 1;
     }
     if (CreateJournal) {
-      std::string E = Journal.create(JournalPath, Spec, Configs);
+      std::string E = Journal.create(Cli.JournalPath, Spec, Configs);
       if (!E.empty()) {
         fprintf(stderr, "error: %s\n", E.c_str());
         return 1;
@@ -549,13 +478,13 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
       printf("serving %s%llu simulation units on %s:%u (model %s)\n",
              Streamed ? "up to " : "",
              static_cast<unsigned long long>(Hint),
-             ServerOpts.BindAddress.c_str(), unsigned(Server.port()),
+             Cli.ServerOpts.BindAddress.c_str(), unsigned(Server.port()),
              Configs[0].Opts.SourceModel.c_str());
     else
       printf("serving %s%llu units on %s:%u (profile %s, model %s)\n",
              Streamed ? "up to " : "",
              static_cast<unsigned long long>(Hint),
-             ServerOpts.BindAddress.c_str(), unsigned(Server.port()),
+             Cli.ServerOpts.BindAddress.c_str(), unsigned(Server.port()),
              Configs[0].P.name().c_str(),
              Configs[0].Opts.SourceModel.c_str());
     fflush(stdout);
@@ -574,8 +503,8 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
            static_cast<unsigned long long>(Report.DedupedUnits),
            Report.Workers.size());
     Deduped = Report.DedupedUnits;
-    if (!EngineJsonPath.empty() &&
-        !writeJson(EngineJsonPath, campaignEngineJson(Report)))
+    if (!Cli.EngineJsonPath.empty() &&
+        !writeJson(Cli.EngineJsonPath, campaignEngineJson(Report)))
       return 1;
     Results = std::move(Report.Results);
     Meta = std::move(Report.UnitsMeta);
@@ -587,10 +516,10 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
     // journaled units never reach an executor lane. A resumed local
     // campaign is byte-identical to an uninterrupted one.
     bool Streamed = Spec.K == CampaignSourceSpec::Kind::Generator;
-    if (!JournalPath.empty() && !Resume) {
+    if (!Cli.JournalPath.empty() && !Cli.Resume) {
       // Created before the corpus moves into its source: the header
       // needs the spec intact.
-      std::string E = Journal.create(JournalPath, Spec, Configs);
+      std::string E = Journal.create(Cli.JournalPath, Spec, Configs);
       if (!E.empty()) {
         fprintf(stderr, "error: %s\n", E.c_str());
         return 1;
@@ -619,7 +548,8 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
     UnitSource &Inner = Streamed ? static_cast<UnitSource &>(*GenSource)
                                  : *VecSource;
     DedupingUnitSource Deduper(Inner);
-    UnitSource &Mid = Dedupe ? static_cast<UnitSource &>(Deduper) : Inner;
+    UnitSource &Mid =
+        Cli.ServerOpts.Dedupe ? static_cast<UnitSource &>(Deduper) : Inner;
     ReplayingUnitSource Replayer(Mid, std::move(ReplayMap));
 
     std::mutex JournalM;
@@ -632,7 +562,7 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
                      "results merged after the fault are not durable";
     };
 
-    ThreadPool Pool(resolveJobs(Jobs));
+    ThreadPool Pool(resolveJobs(Cli.Jobs));
     runCampaignUnits(Replayer, Configs, Pool,
                      [&](const CampaignUnit &U, TelechatResult R) {
                        JournalAppend(U.Id, R);
@@ -675,12 +605,12 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
               "warning: %llu journal results matched no unit of the "
               "campaign spec\n",
               static_cast<unsigned long long>(Stale));
-    if (Resume)
+    if (Cli.Resume)
       printf("replayed: %llu results merged from the journal without "
              "re-execution\n",
              static_cast<unsigned long long>(Replayed));
   }
-  if (Dedupe && !Serve)
+  if (Cli.ServerOpts.Dedupe && !Serve)
     printf("deduped: %llu of %zu units answered by canonical "
            "representatives\n",
            static_cast<unsigned long long>(Deduped), Results.size());
@@ -693,8 +623,8 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
     fprintf(stderr, "error: the campaign produced no units\n");
     return 1;
   }
-  if (!CampaignJsonPath.empty() &&
-      !writeJson(CampaignJsonPath,
+  if (!Cli.CampaignJsonPath.empty() &&
+      !writeJson(Cli.CampaignJsonPath,
                  campaignResultsJson(Meta, Configs, Results)))
     return 1;
   int Exit = SimOnly ? summariseSim(Meta, Results)
@@ -707,47 +637,27 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
     fprintf(stderr, "error: %s\n", ServeError.c_str());
     return 1;
   }
-  if (Compact) {
+  if (Cli.Compact) {
     // Only after a fault-free campaign: compacting a journal whose run
     // just broke would destroy the evidence a resume needs.
     Journal.close();
-    ErrorOr<CompactStats> S = compactJournal(JournalPath);
+    ErrorOr<CompactStats> S = compactJournal(Cli.JournalPath);
     if (!S) {
       fprintf(stderr, "error: %s\n", S.error().c_str());
       return 1;
     }
     printf("compacted %s: %llu -> %llu bytes, %llu results\n",
-           JournalPath.c_str(),
+           Cli.JournalPath.c_str(),
            static_cast<unsigned long long>(S->BytesBefore),
            static_cast<unsigned long long>(S->BytesAfter),
            static_cast<unsigned long long>(S->Results));
   }
   return Exit;
 }
-
 int telechat::relayToolMain(int argc, char **argv, void (*Usage)()) {
-  if (argc < 4) {
-    Usage();
-    return 1;
-  }
   RelayOptions Opts;
-  if (!parseFlagNumber("--relay", argv[2], uint16_t(0), uint16_t(65535),
-                       Opts.Port))
-    return 2;
-  if (!splitHostPort(argv[3], Opts.UpstreamHost, Opts.UpstreamPort)) {
-    fprintf(stderr, "error: --relay expects <listen-port> <host:port>\n");
-    return 1;
-  }
-  for (int I = 4; I < argc; ++I) {
-    int Rc = parseLeaseServerFlag(argc, argv, I, Opts, Usage);
-    if (Rc > 0)
-      return Rc;
-    if (Rc < 0) {
-      fprintf(stderr, "unknown option '%s'\n", argv[I]);
-      Usage();
-      return 1;
-    }
-  }
+  if (int Rc = relayFlags(Opts).parse(argc, argv, 2, Usage))
+    return Rc;
   Relay R(Opts);
   std::string Err = R.start();
   if (!Err.empty()) {
@@ -770,5 +680,25 @@ int telechat::relayToolMain(int argc, char **argv, void (*Usage)()) {
     fprintf(stderr, "error: %s\n", Report.Error.c_str());
     return 1;
   }
+  return 0;
+}
+
+int telechat::workerToolMain(int argc, char **argv, void (*Usage)()) {
+  std::string Host;
+  uint16_t Port = 0;
+  WorkerOptions Opts;
+  if (int Rc = workerFlags(Host, Port, Opts).parse(argc, argv, 2, Usage))
+    return Rc;
+  ErrorOr<WorkerRunStats> Stats = runCampaignWorker(Host, Port, Opts);
+  if (!Stats) {
+    fprintf(stderr, "error: %s\n", Stats.error().c_str());
+    return 1;
+  }
+  printf("worker done: %llu units in %llu batches (%s)\n",
+         static_cast<unsigned long long>(Stats->UnitsCompleted),
+         static_cast<unsigned long long>(Stats->Batches),
+         Stats->CleanDone ? "campaign complete"
+         : Stats->Killed  ? "killed by --max-units"
+                          : "server disconnected");
   return 0;
 }

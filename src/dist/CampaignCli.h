@@ -1,19 +1,19 @@
-//===--- CampaignCli.h - Shared campaign/serve CLI driver -------*- C++ -*-===//
+//===--- CampaignCli.h - Shared service-mode CLI drivers --------*- C++ -*-===//
 //
 // Part of the Télétchat reproduction. MIT licensed; see README.md.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The tools' campaign modes, implemented once: telechat --campaign,
-/// telechat --serve and litmus-sim --serve are the same flag grammar
+/// The tools' service modes, implemented once: telechat --campaign,
+/// telechat --serve and litmus-sim --serve are the same flag table
 /// (corpus specs, generator specs, test options, JSON outputs, journal
-/// and server knobs) over the same engine, differing only in execution
-/// mode. Sharing the driver -- like workerToolMain for --work -- keeps
-/// the two CLIs from drifting: a server flag added here exists in both
-/// tools at once. relayToolMain reads the downstream flags (--bind,
-/// --batch, --lease-timeout, --status-port, --verbose) through the same
-/// parser as --serve.
+/// and lease-server knobs) over the same engine, differing only in
+/// execution mode; --relay and --work are shared the same way. Sharing
+/// the drivers keeps the two CLIs from drifting: a server flag added
+/// here exists in both tools at once, and so does its help line
+/// (printToolUsage). The flag groups that the single-test modes reuse
+/// (pipeline, simulation) are declared here too.
 ///
 /// Generative campaigns (--gen-seed/--gen-count) stream units off the
 /// diy generator instead of a materialised corpus; --journal makes a
@@ -24,6 +24,11 @@
 
 #ifndef TELECHAT_DIST_CAMPAIGNCLI_H
 #define TELECHAT_DIST_CAMPAIGNCLI_H
+
+#include "core/Telechat.h"
+#include "support/Flags.h"
+
+#include <string>
 
 namespace telechat {
 
@@ -38,16 +43,34 @@ enum class CampaignCliMode {
 /// serve modes), builds the corpus, runs it, writes JSON artefacts and
 /// prints the summary. Returns the process exit code (2 = a pipeline
 /// campaign surfaced a compiler bug, matching single-test mode, or a
-/// numeric flag value was refused before anything ran).
-/// \p Usage is called on argument errors.
+/// flag value was refused before anything ran). \p Usage is called on
+/// argument errors.
 int campaignToolMain(int argc, char **argv, void (*Usage)(),
                      CampaignCliMode Mode);
 
-/// The whole relay CLI: `<tool> --relay <listen-port> <upstream-host:port>
-/// [--bind A] [--batch N] [--lease-timeout S] [--status-port P]
-/// [--verbose]`, the same downstream flags --serve parses. Exit 0 on a
-/// completed campaign, 1 on error, 2 for a refused number.
+/// The whole relay CLI: `<tool> --relay <listen-port> <upstream-host:port>`
+/// plus the lease-server flags --serve takes. Exit 0 on a completed
+/// campaign, 1 on error, 2 for a refused value.
 int relayToolMain(int argc, char **argv, void (*Usage)());
+
+/// The whole worker CLI: `<tool> --work <host:port> [-j N] [--batch N]
+/// [--max-units N] [--verbose]`. Prints the session summary; returns
+/// the process exit code.
+int workerToolMain(int argc, char **argv, void (*Usage)());
+
+/// The pipeline group: --profile (into \p ProfileName), --model,
+/// --no-augment, --no-optimise, --const-model and --explore-budget (which
+/// only ever reroutes the compiled side).
+void addPipelineFlags(FlagTable &T, std::string &ProfileName,
+                      TestOptions &Options);
+
+/// The simulation group every simulating mode takes: --backend,
+/// --max-steps, --no-prune, --no-transform, --no-cat-cache.
+void addSimFlags(FlagTable &T, SimOptions &Sim);
+
+/// Prints \p Synopsis, then the help of \p Single's groups and of the
+/// campaign, serve, relay and work modes, each group once.
+void printToolUsage(const char *Synopsis, const FlagTable &Single);
 
 } // namespace telechat
 

@@ -17,76 +17,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <thread>
 
 using namespace telechat;
-
-int telechat::workerToolMain(int argc, char **argv, void (*Usage)()) {
-  if (argc < 3) {
-    Usage();
-    return 1;
-  }
-  std::string Host;
-  uint16_t Port = 0;
-  if (!splitHostPort(argv[2], Host, Port)) {
-    fprintf(stderr, "error: --work expects <host:port>\n");
-    return 1;
-  }
-  WorkerOptions Opts;
-  for (int I = 3; I < argc; ++I) {
-    std::string Arg = argv[I];
-    const char *V = I + 1 < argc ? argv[I + 1] : nullptr;
-    if ((Arg == "-j" || Arg == "--jobs") && V) {
-      ++I;
-      if (!parseFlagNumber("-j", V, 0u, kMaxJobs, Opts.Jobs))
-        return 2;
-    } else if (Arg == "--batch" && V) {
-      ++I;
-      if (!parseFlagNumber("--batch", V, 0u, UINT32_MAX, Opts.BatchSize))
-        return 2;
-    } else if (Arg == "--max-units" && V) {
-      ++I;
-      if (!parseFlagNumber("--max-units", V, uint64_t(0), UINT64_MAX,
-                           Opts.KillAfterResults))
-        return 2;
-    } else if (Arg == "--verbose") {
-      Opts.Verbose = true;
-    } else {
-      fprintf(stderr, "unknown option '%s'\n", Arg.c_str());
-      Usage();
-      return 1;
-    }
-  }
-  ErrorOr<WorkerRunStats> Stats = runCampaignWorker(Host, Port, Opts);
-  if (!Stats) {
-    fprintf(stderr, "error: %s\n", Stats.error().c_str());
-    return 1;
-  }
-  printf("worker done: %llu units in %llu batches (%s)\n",
-         static_cast<unsigned long long>(Stats->UnitsCompleted),
-         static_cast<unsigned long long>(Stats->Batches),
-         Stats->CleanDone ? "campaign complete"
-         : Stats->Killed  ? "killed by --max-units"
-                          : "server disconnected");
-  return 0;
-}
-
-bool telechat::splitHostPort(const std::string &HostPort, std::string &Host,
-                             uint16_t &Port) {
-  size_t Colon = HostPort.rfind(':');
-  if (Colon == std::string::npos || Colon == 0)
-    return false;
-  char *End = nullptr;
-  unsigned long P = strtoul(HostPort.c_str() + Colon + 1, &End, 10);
-  if (End == HostPort.c_str() + Colon + 1 || *End != '\0' || P == 0 ||
-      P > 65535)
-    return false;
-  Host = HostPort.substr(0, Colon);
-  Port = uint16_t(P);
-  return true;
-}
 
 ErrorOr<CampaignHello> telechat::clientHandshake(TcpSocket &Sock,
                                                  uint32_t Jobs) {

@@ -81,19 +81,6 @@ struct CampaignHello {
 /// ("handshake: bad config table", "server refused: ...").
 ErrorOr<CampaignHello> clientHandshake(TcpSocket &Sock, uint32_t Jobs);
 
-/// Splits "host:port" (the --work CLI argument; the last colon wins so
-/// bracketless IPv6 still parses). False when no colon or the port is
-/// not a number in [1, 65535].
-bool splitHostPort(const std::string &HostPort, std::string &Host,
-                   uint16_t &Port);
-
-/// The tools' whole `--work` mode, shared so telechat and litmus-sim
-/// accept the same flags and cannot drift: argv[2] = host:port,
-/// then [-j|--jobs N] [--batch N] [--max-units N] [--verbose]. Prints
-/// the session summary; returns the process exit code. \p Usage is
-/// called on argument errors.
-int workerToolMain(int argc, char **argv, void (*Usage)());
-
 } // namespace telechat
 
 #endif // TELECHAT_DIST_WORKER_H

@@ -7,7 +7,10 @@
 #include "diy/Config.h"
 
 #include "diy/Cycle.h"
+#include "diy/RealWorld.h"
 #include "support/StringUtils.h"
+
+#include <cstring>
 
 using namespace telechat;
 
@@ -96,4 +99,34 @@ std::vector<LitmusTest> telechat::generateSuite(const SuiteConfig &Config) {
       break;
   }
   return Out;
+}
+
+std::vector<std::string> telechat::suiteNames() {
+  std::vector<std::string> Names = {"c11", "c11acq", "realworld"};
+  for (const std::string &Family : realWorldFamilies())
+    Names.push_back("realworld:" + Family);
+  return Names;
+}
+
+std::vector<LitmusTest> telechat::suiteTests(const std::string &Name,
+                                             unsigned Limit) {
+  if (Name == "c11" || Name == "c11acq") {
+    SuiteConfig Config =
+        Name == "c11" ? SuiteConfig::c11() : SuiteConfig::c11Acq();
+    Config.Limit = Limit;
+    return generateSuite(Config);
+  }
+  std::vector<LitmusTest> Tests;
+  if (Name == "realworld") {
+    Tests = realWorldTests();
+  } else if (Name.rfind("realworld:", 0) == 0) {
+    ErrorOr<std::vector<RealWorldCase>> Family =
+        realWorldFamily(Name.substr(strlen("realworld:")));
+    if (Family)
+      for (RealWorldCase &C : *Family)
+        Tests.push_back(std::move(C.Test));
+  }
+  if (Limit && Tests.size() > Limit)
+    Tests.resize(Limit);
+  return Tests;
 }

@@ -18,6 +18,7 @@
 
 #include "litmus/Ast.h"
 
+#include <string>
 #include <vector>
 
 namespace telechat {
@@ -44,6 +45,14 @@ struct SuiteConfig {
 
 /// Expands a configuration into concrete litmus tests.
 std::vector<LitmusTest> generateSuite(const SuiteConfig &Config);
+
+/// The generated suites a --suite flag names: c11, c11acq, realworld, and
+/// realworld:<family> for each of realWorldFamilies().
+std::vector<std::string> suiteNames();
+
+/// The tests of suite \p Name (one of suiteNames(); empty for any other
+/// name), at most \p Limit of them when it is nonzero.
+std::vector<LitmusTest> suiteTests(const std::string &Name, unsigned Limit);
 
 } // namespace telechat
 

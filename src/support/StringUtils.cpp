@@ -99,8 +99,8 @@ bool telechat::detail::parseFiniteText(std::string_view Text, double &Out) {
   return true;
 }
 
-void telechat::detail::reportBadNumber(const char *Flag, const char *Text,
-                                       const std::string &Range) {
-  fprintf(stderr, "error: %s expects %s, got '%s'\n", Flag, Range.c_str(),
+void telechat::detail::reportBadValue(const char *Flag, const char *Text,
+                                      const std::string &What) {
+  fprintf(stderr, "error: %s expects %s, got '%s'\n", Flag, What.c_str(),
           Text);
 }

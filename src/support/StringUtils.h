@@ -36,9 +36,10 @@ bool parseIntegerText(std::string_view Text, bool AllowNeg, bool &Neg,
                       uint64_t &Magnitude);
 /// Floating syntax of parseNumber: the whole text, finite.
 bool parseFiniteText(std::string_view Text, double &Out);
-/// Prints parseFlagNumber's refusal to stderr.
-void reportBadNumber(const char *Flag, const char *Text,
-                     const std::string &Range);
+/// Prints a flag's refusal to stderr: "error: <Flag> expects <What>,
+/// got '<Text>'".
+void reportBadValue(const char *Flag, const char *Text,
+                    const std::string &What);
 } // namespace detail
 
 /// Strictly parses a number. The whole of \p Text must be one value of
@@ -88,18 +89,18 @@ bool parseFlagNumber(const char *Flag, const char *Text, T Min, T Max,
   if (parseNumber(std::string_view(Text), Min, Max, Out))
     return true;
   if constexpr (std::is_floating_point_v<T>)
-    detail::reportBadNumber(
+    detail::reportBadValue(
         Flag, Text,
         strFormat("a finite number in [%g, %g]", double(Min), double(Max)));
   else if constexpr (std::is_signed_v<T>)
-    detail::reportBadNumber(Flag, Text,
-                            strFormat("an integer in [%lld, %lld]",
-                                      (long long)Min, (long long)Max));
+    detail::reportBadValue(Flag, Text,
+                           strFormat("an integer in [%lld, %lld]",
+                                     (long long)Min, (long long)Max));
   else
-    detail::reportBadNumber(Flag, Text,
-                            strFormat("an integer in [%llu, %llu]",
-                                      (unsigned long long)Min,
-                                      (unsigned long long)Max));
+    detail::reportBadValue(Flag, Text,
+                           strFormat("an integer in [%llu, %llu]",
+                                     (unsigned long long)Min,
+                                     (unsigned long long)Max));
   return false;
 }
 

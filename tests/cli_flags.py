@@ -15,7 +15,13 @@ as clean: a campaign in which any unit errored or timed out exits 1
 run whose step budget ran out. Removed options stay removed: they are
 refused as unknown, never silently ignored.
 
-Usage: cli_flags.py <telechat> <litmus-sim>
+Every tool reads its command line through one flag table
+(support/Flags.h), with one exit rule: an unknown flag or a flag missing
+its value prints usage and exits 1; a refused value (a number out of
+range, a name outside a fixed set, a malformed host:port) names the flag
+and exits 2.
+
+Usage: cli_flags.py <telechat> <litmus-sim> <diy-gen>
 """
 
 import os
@@ -62,10 +68,10 @@ def expect(argv, code, needle=None, absent=None):
 
 
 def main():
-    if len(sys.argv) != 3:
+    if len(sys.argv) != 4:
         print(__doc__)
         return 2
-    telechat, litmus_sim = sys.argv[1], sys.argv[2]
+    telechat, litmus_sim, diy_gen = sys.argv[1], sys.argv[2], sys.argv[3]
     with tempfile.TemporaryDirectory() as tmp:
         mp = os.path.join(tmp, "mp.litmus")
         with open(mp, "w") as f:
@@ -155,6 +161,49 @@ def main():
         # meaning "bug found", told apart from a refusal by its summary).
         expect(camp + ["--max-steps", "2000000", "-j", "2"], 2,
                "1 bugs, 0 errors, 0 timeouts")
+        # litmus-sim single mode reads the same table as every other
+        # mode: a typo'd flag or a flag missing its value is refused,
+        # not silently ignored.
+        expect([litmus_sim, mp, "--max-step", "1"], 1,
+               "unknown option '--max-step'")
+        expect([litmus_sim, mp, "--model"], 1, "usage: litmus-sim")
+        expect([litmus_sim, mp, "--backend", "dpll"], 2,
+               "sweep|solve|auto|explore")
+        # An unknown model name is refused up front instead of aborting
+        # the run ("fatal: unknown memory model").
+        expect([litmus_sim, mp, "--model", "bogus"], 2, "--model expects")
+        expect(camp + ["--model", "bogus"], 2, "--model expects")
+        # Suite names, memory orders and limits are typed values; a bad
+        # suite name no longer falls back to c11.
+        expect([telechat, "--campaign", "--suite", "bogus"], 2,
+               "--suite expects c11|c11acq|realworld|realworld:")
+        expect([telechat, "--serve", "0", "--suite", "c11x"], 2,
+               "--suite expects c11|c11acq|realworld|realworld:")
+        expect([litmus_sim, "--serve", "0", "--suite", "realworld:nope"], 2,
+               "--suite expects c11|c11acq|realworld|realworld:")
+        expect([diy_gen, "--suite", "bogus"], 2,
+               "--suite expects c11|c11acq|realworld|realworld:")
+        expect([diy_gen, "--suite", "c11", "--limit", "abc"], 2, "--limit")
+        expect([diy_gen, "--suite", "c11", "--limit", "2", "--bogus"], 1,
+               "unknown option '--bogus'")
+        expect([diy_gen, "PodWW Rfe PodRR Fre", "--load", "xyz"], 2,
+               "--load expects na|rlx|acq|rel|acqrel|sc")
+        expect([diy_gen, "PodWW Rfe PodRR Fre", "--load", "acq",
+                "--store", "rel", "--name", "MPra"], 0, "C MPra")
+        expect([diy_gen, "--suite", "realworld:spsc", "--limit", "1"], 0,
+               "C rw.spsc")
+        # An unknown classic is refused with the list of known ones, not
+        # an abort.
+        expect([diy_gen, "--classic", "NOPE"], 1, "known: MP")
+        # Ports are parseNumber values in [1, 65535]: no sign, no blank.
+        expect([telechat, "--work", "127.0.0.1:+80"], 2, "--work")
+        expect([telechat, "--work", "127.0.0.1: 80"], 2, "--work")
+        expect([telechat, "--relay", "0", "127.0.0.1:+80"], 2, "--relay")
+        # The short -j takes its value attached wherever -j N works.
+        expect([telechat, mp, "-j4"], 0, "verdict:")
+        expect([litmus_sim, mp, "-j4"], 0, "States 3")
+        expect([litmus_sim, mp, "-j-3"], 2, "-j")
+        expect([telechat, "--work", "127.0.0.1:1", "-j-1"], 2, "-j")
     if failures:
         print("%d check(s) failed" % len(failures))
         return 1

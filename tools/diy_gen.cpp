@@ -17,111 +17,119 @@
 #include "diy/Classics.h"
 #include "diy/Config.h"
 #include "diy/Cycle.h"
-#include "diy/RealWorld.h"
 #include "litmus/Printer.h"
+#include "support/Flags.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <set>
 
 using namespace telechat;
 
-static MemOrder orderFromToken(const std::string &Tok) {
-  if (Tok == "na")
-    return MemOrder::NA;
-  if (Tok == "rlx")
-    return MemOrder::Relaxed;
-  if (Tok == "acq")
-    return MemOrder::Acquire;
-  if (Tok == "rel")
-    return MemOrder::Release;
-  if (Tok == "acqrel")
-    return MemOrder::AcqRel;
-  if (Tok == "sc")
-    return MemOrder::SeqCst;
-  return MemOrder::Relaxed;
+namespace {
+
+const std::pair<const char *, MemOrder> Orders[] = {
+    {"na", MemOrder::NA},       {"rlx", MemOrder::Relaxed},
+    {"acq", MemOrder::Acquire}, {"rel", MemOrder::Release},
+    {"acqrel", MemOrder::AcqRel}, {"sc", MemOrder::SeqCst}};
+
+CliFlag orderFlag(const char *Name, MemOrder &Target, const char *Help) {
+  std::vector<std::string> Names;
+  for (const auto &[Token, Order] : Orders)
+    Names.push_back(Token);
+  return cliEnum(Name, "<order>", Names,
+                 [&Target](const std::string &V) {
+                   for (const auto &[Token, Order] : Orders)
+                     if (V == Token)
+                       Target = Order;
+                 },
+                 Help);
 }
 
-int main(int argc, char **argv) {
-  if (argc < 2) {
-    fprintf(stderr,
-            "usage: diy-gen \"<cycle>\" [--name N] [--load O] [--store O]\n"
-            "       diy-gen --classic <name>\n"
-            "       diy-gen --suite <c11|c11acq|realworld[:family]> "
-            "[--limit N]\n"
-            "orders: na rlx acq rel acqrel sc\n");
-    return 1;
+/// Everything the flags set: the operand (a cycle, a classic name or a
+/// suite name) and the options of its mode.
+struct GenArgs {
+  std::string Operand;
+  unsigned Limit = 0;
+  CycleSpec Spec;
+};
+
+/// The flag table of mode \p Mode: "--classic", "--suite", or a cycle.
+FlagTable genFlags(const std::string &Mode, GenArgs &A) {
+  FlagTable T;
+  if (Mode == "--classic") {
+    T.operand(cliString("--classic", nullptr, A.Operand, nullptr));
+  } else if (Mode == "--suite") {
+    T.operand(cliEnum("--suite", nullptr, suiteNames(),
+                      [&A](const std::string &S) { A.Operand = S; }, nullptr));
+    T.add("--suite options",
+          {cliNumber("--limit", "<n>", A.Limit, 0, UINT32_MAX,
+                     "cap on the suite's tests (0 = all)")});
+  } else {
+    T.operand(cliString("<cycle>", nullptr, A.Operand, nullptr));
+    T.add("cycle options",
+          {cliString("--name", "<name>", A.Spec.Name,
+                     "test name (default generated)"),
+           orderFlag("--load", A.Spec.LoadOrder,
+                     "load order: na rlx acq rel acqrel sc"),
+           orderFlag("--store", A.Spec.StoreOrder,
+                     "store order: na rlx acq rel acqrel sc")});
   }
-  std::string First = argv[1];
-  if (First == "--classic") {
-    if (argc < 3) {
-      fprintf(stderr, "--classic needs a name; known:");
-      for (const std::string &N : classicNames())
-        fprintf(stderr, " %s", N.c_str());
-      fprintf(stderr, "\n");
-      return 1;
-    }
-    printf("%s", printLitmusC(classicTest(argv[2])).c_str());
+  return T;
+}
+
+void usage() {
+  fprintf(stderr,
+          "usage: diy-gen \"<cycle>\" [options]\n"
+          "       diy-gen --classic <name>\n"
+          "       diy-gen --suite <c11|c11acq|realworld[:family]> "
+          "[options]\n");
+  GenArgs A;
+  std::set<std::string> Printed;
+  genFlags("", A).printHelp(Printed);
+  genFlags("--suite", A).printHelp(Printed);
+}
+
+/// Lists the classic test names after \p Lead; returns exit status 1.
+int listClassics(const std::string &Lead) {
+  fprintf(stderr, "%s; known:", Lead.c_str());
+  for (const std::string &N : classicNames())
+    fprintf(stderr, " %s", N.c_str());
+  fprintf(stderr, "\n");
+  return 1;
+}
+
+} // namespace
+
+int main(int argc, char **argv) {
+  std::string Mode = argc > 1 ? argv[1] : "";
+  if (Mode == "--classic" && argc < 3)
+    return listClassics("--classic needs a name");
+  GenArgs A;
+  A.Spec.Name = "generated";
+  bool Named = Mode == "--classic" || Mode == "--suite";
+  if (int Rc = genFlags(Mode, A).parse(argc, argv, Named ? 2 : 1, usage))
+    return Rc;
+
+  if (Mode == "--classic") {
+    std::vector<std::string> Known = classicNames();
+    if (std::find(Known.begin(), Known.end(), A.Operand) == Known.end())
+      return listClassics("unknown classic '" + A.Operand + "'");
+    printf("%s", printLitmusC(classicTest(A.Operand)).c_str());
     return 0;
   }
-  if (First == "--suite") {
-    if (argc < 3) {
-      fprintf(stderr, "--suite needs c11, c11acq or realworld[:family]\n");
-      return 1;
-    }
-    std::string Suite = argv[2];
-    if (Suite.rfind("realworld", 0) == 0) {
-      unsigned Limit = 0;
-      for (int I = 3; I + 1 < argc; I += 2)
-        if (strcmp(argv[I], "--limit") == 0)
-          Limit = unsigned(strtoul(argv[I + 1], nullptr, 0));
-      std::vector<LitmusTest> Tests;
-      if (Suite.size() > strlen("realworld") &&
-          Suite[strlen("realworld")] == ':') {
-        ErrorOr<std::vector<RealWorldCase>> Family =
-            realWorldFamily(Suite.substr(strlen("realworld") + 1));
-        if (!Family) {
-          fprintf(stderr, "error: %s\n", Family.error().c_str());
-          return 1;
-        }
-        for (RealWorldCase &C : *Family)
-          Tests.push_back(std::move(C.Test));
-      } else {
-        Tests = realWorldTests();
-      }
-      if (Limit && Tests.size() > Limit)
-        Tests.resize(Limit);
-      for (const LitmusTest &T : Tests)
-        printf("%s\n", printLitmusC(T).c_str());
-      return 0;
-    }
-    SuiteConfig Config = strcmp(argv[2], "c11acq") == 0
-                             ? SuiteConfig::c11Acq()
-                             : SuiteConfig::c11();
-    for (int I = 3; I + 1 < argc; I += 2)
-      if (strcmp(argv[I], "--limit") == 0)
-        Config.Limit = strtoul(argv[I + 1], nullptr, 0);
-    for (const LitmusTest &T : generateSuite(Config))
+  if (Mode == "--suite") {
+    for (const LitmusTest &T : suiteTests(A.Operand, A.Limit))
       printf("%s\n", printLitmusC(T).c_str());
     return 0;
   }
-
-  CycleSpec Spec;
-  Spec.Name = "generated";
-  for (int I = 2; I + 1 < argc; I += 2) {
-    if (strcmp(argv[I], "--name") == 0)
-      Spec.Name = argv[I + 1];
-    else if (strcmp(argv[I], "--load") == 0)
-      Spec.LoadOrder = orderFromToken(argv[I + 1]);
-    else if (strcmp(argv[I], "--store") == 0)
-      Spec.StoreOrder = orderFromToken(argv[I + 1]);
-  }
-  ErrorOr<std::vector<CycleEdge>> Edges = parseCycle(First);
+  ErrorOr<std::vector<CycleEdge>> Edges = parseCycle(A.Operand);
   if (!Edges) {
     fprintf(stderr, "error: %s\n", Edges.error().c_str());
     return 1;
   }
-  Spec.Edges = std::move(*Edges);
-  ErrorOr<LitmusTest> Test = generateFromCycle(Spec);
+  A.Spec.Edges = std::move(*Edges);
+  ErrorOr<LitmusTest> Test = generateFromCycle(A.Spec);
   if (!Test) {
     fprintf(stderr, "error: %s\n", Test.error().c_str());
     return 1;

@@ -27,59 +27,63 @@
 #include "asmcore/AsmParser.h"
 #include "asmcore/Semantics.h"
 #include "dist/CampaignCli.h"
-#include "dist/Worker.h"
 #include "sim/Backend.h"
 #include "events/Dot.h"
 #include "litmus/Parser.h"
+#include "models/Models.h"
 #include "sim/CFrontend.h"
 #include "sim/Simulator.h"
-#include "support/StringUtils.h"
-#include "support/ThreadPool.h"
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 using namespace telechat;
 
-static void usage() {
-  fprintf(stderr,
-          "usage: litmus-sim <test.litmus> [--model <name>] [-j <n>] "
-          "[--max-steps <n>] [--dot] [--stats]\n"
-          "       [--backend sweep|solve|auto|explore] [--no-prune] "
-          "[--no-transform] [--no-cat-cache]\n"
-          "       [--explore-iters <n>] [--explore-seed <n>]\n"
-          "       litmus-sim --serve <port> --corpus <file>|--suite "
-          "realworld[:family]|--gen-seed <n> [--gen-count <n>] "
-          "[--model <m>]\n"
-          "                  [--campaign-json <f>] [--engine-json <f>] "
-          "[--journal <f>] [--resume] [--dedupe]\n"
-          "                  [--bind <addr>] [--lease-timeout <s>] "
-          "[--batch <n>] [--status-port <p>] [--compact] [--verbose]   "
-          "(shared with telechat --serve)\n"
-          "       litmus-sim --relay <listen-port> <host:port> "
-          "[--bind <addr>] [--batch <n>] [--status-port <p>]\n"
-          "       litmus-sim --work <host:port> [-j <n>] [--batch <n>] "
-          "[--max-units <n>]\n"
-          "  -j <n>          enumeration worker threads (0 = all hardware "
-          "threads; default 1)\n"
-          "  --backend <b>   consistency engine: sweep (explicit enumeration,\n"
-          "                  default), solve (constraint solver), auto\n"
-          "                  (pick by estimated rf-space size); outcomes\n"
-          "                  are identical, budget/steps are not; explore\n"
-          "                  (dynamic scheduler exploration) reports a sound\n"
-          "                  *subset* within its iteration budget\n"
-          "  --explore-iters <n>  explore: schedules per path combo\n"
-          "  --explore-seed <n>   explore: PRNG seed for random schedules\n"
-          "  --no-prune      disable rf value-constraint pruning\n"
-          "  --no-transform  prune with the copy-chain-only abstract "
-          "domain (no arithmetic transforms)\n"
-          "  --no-cat-cache  disable incremental Cat evaluation\n"
-          "  --dedupe        serve one unit per canonical test shape and\n"
-          "                  rename its result onto the duplicates\n");
+namespace {
+
+/// Everything single-test mode's flags set; flags write straight into
+/// the simulator's options.
+struct SimArgs {
+  std::string Path;
+  std::string Model; ///< Empty: rc11 for C tests, else the target's.
+  SimOptions Opts;
+  bool Stats = false;
+};
+
+FlagTable singleFlags(SimArgs &A) {
+  FlagTable T;
+  T.operand(cliString("<test.litmus>", nullptr, A.Path, nullptr));
+  T.add("single test",
+        {cliEnum("--model", "<name>", modelNames(),
+                 [&A](const std::string &M) { A.Model = M; },
+                 "model (default rc11 for C tests, the\n"
+                 "target's architecture model for assembly)"),
+         cliJobs(A.Opts.Jobs, "enumeration threads (0 = all hardware\n"
+                              "threads; default 1)"),
+         cliSwitch("--dot", A.Opts.CollectExecutions, true,
+                   "print up to four allowed executions as DOT"),
+         cliSwitch("--stats", A.Stats, true, "print the enumeration counters"),
+         cliNumber("--explore-iters", "<n>", A.Opts.ExploreIterations, 1,
+                   UINT64_MAX, "explore: schedules per path combo (512)"),
+         cliNumber("--explore-seed", "<n>", A.Opts.ExploreSeed, 0, UINT64_MAX,
+                   "explore: PRNG seed for random schedules (1)")});
+  addSimFlags(T, A.Opts);
+  return T;
 }
+
+void usage() {
+  SimArgs A;
+  printToolUsage(
+      "usage: litmus-sim <test.litmus> [options]\n"
+      "       litmus-sim --serve <port> [corpus] [options]\n"
+      "       litmus-sim --relay <listen-port> <host:port> [options]\n"
+      "       litmus-sim --work <host:port> [options]\n",
+      singleFlags(A));
+}
+
+} // namespace
 
 int main(int argc, char **argv) {
   if (argc < 2) {
@@ -96,53 +100,12 @@ int main(int argc, char **argv) {
     return workerToolMain(argc, argv, usage);
   if (std::string(argv[1]) == "--relay")
     return relayToolMain(argc, argv, usage);
-  std::string Path = argv[1];
-  std::string Model;
-  bool Dot = false, Stats = false;
-  bool Prune = true, Transform = true, CatCache = true;
-  SimBackendKind Backend = SimBackendKind::Sweep;
-  unsigned Jobs = 1;
-  uint64_t MaxSteps = 0;
-  uint64_t ExploreIters = 0, ExploreSeed = 0; // 0 = SimOptions default.
-  for (int I = 2; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg == "--model" && I + 1 < argc)
-      Model = argv[++I];
-    else if ((Arg == "-j" || Arg == "--jobs") && I + 1 < argc) {
-      if (!parseFlagNumber("-j", argv[++I], 0u, kMaxJobs, Jobs))
-        return 2;
-    } else if (Arg == "--max-steps" && I + 1 < argc) {
-      if (!parseFlagNumber("--max-steps", argv[++I], uint64_t(1), UINT64_MAX,
-                           MaxSteps))
-        return 2;
-    } else if (Arg == "--dot")
-      Dot = true;
-    else if (Arg == "--stats")
-      Stats = true;
-    else if (Arg == "--no-prune")
-      Prune = false;
-    else if (Arg == "--no-transform")
-      Transform = false;
-    else if (Arg == "--no-cat-cache")
-      CatCache = false;
-    else if (Arg == "--backend" && I + 1 < argc) {
-      if (!backendFromName(argv[++I], Backend)) {
-        fprintf(stderr, "error: unknown backend '%s'\n", argv[I]);
-        return 1;
-      }
-    } else if (Arg == "--explore-iters" && I + 1 < argc) {
-      if (!parseFlagNumber("--explore-iters", argv[++I], uint64_t(1),
-                           UINT64_MAX, ExploreIters))
-        return 2;
-    } else if (Arg == "--explore-seed" && I + 1 < argc) {
-      if (!parseFlagNumber("--explore-seed", argv[++I], uint64_t(0),
-                           UINT64_MAX, ExploreSeed))
-        return 2;
-    }
-  }
-  std::ifstream In(Path);
+  SimArgs A;
+  if (int Rc = singleFlags(A).parse(argc, argv, 1, usage))
+    return Rc;
+  std::ifstream In(A.Path);
   if (!In) {
-    fprintf(stderr, "error: cannot open %s\n", Path.c_str());
+    fprintf(stderr, "error: cannot open %s\n", A.Path.c_str());
     return 1;
   }
   std::stringstream Buffer;
@@ -158,8 +121,8 @@ int main(int argc, char **argv) {
       return 1;
     }
     Program = lowerLitmusC(*T);
-    if (Model.empty())
-      Model = "rc11";
+    if (A.Model.empty())
+      A.Model = "rc11";
   } else {
     ErrorOr<AsmLitmusTest> T = parseAsmLitmus(Text);
     if (!T) {
@@ -172,24 +135,11 @@ int main(int argc, char **argv) {
       return 1;
     }
     Program = std::move(*Lowered);
-    if (Model.empty())
-      Model = archModelName(T->TargetArch);
+    if (A.Model.empty())
+      A.Model = archModelName(T->TargetArch);
   }
 
-  SimOptions Opts;
-  Opts.CollectExecutions = Dot;
-  Opts.Jobs = Jobs;
-  Opts.RfValuePruning = Prune;
-  Opts.RfTransformDomain = Transform;
-  Opts.IncrementalCatEval = CatCache;
-  Opts.Backend = Backend;
-  if (ExploreIters)
-    Opts.ExploreIterations = ExploreIters;
-  if (ExploreSeed)
-    Opts.ExploreSeed = ExploreSeed;
-  if (MaxSteps)
-    Opts.MaxSteps = MaxSteps;
-  SimResult R = simulateProgram(Program, Model, Opts);
+  SimResult R = simulateProgram(Program, A.Model, A.Opts);
   if (!R.ok()) {
     fprintf(stderr, "simulation error: %s\n", R.Error.c_str());
     return 1;
@@ -204,7 +154,7 @@ int main(int argc, char **argv) {
   printf("Condition %s\n", Program.Final.toString().c_str());
   if (R.TimedOut)
     printf("TIMEOUT (budget exhausted)\n");
-  if (Stats) {
+  if (A.Stats) {
     printf("Time %s %.4f (backend=%s paths=%llu rf=%llu consistent=%llu "
            "co=%llu allowed=%llu rf-sources-pruned=%llu (copy=%llu "
            "xform=%llu) rf-pruned=%llu cat-evals-avoided=%llu)\n",
@@ -235,7 +185,7 @@ int main(int argc, char **argv) {
              static_cast<unsigned long long>(R.Stats.ExploreSchedules),
              static_cast<unsigned long long>(R.Stats.ExploreOutcomesFound));
   }
-  if (Dot)
+  if (A.Opts.CollectExecutions)
     for (size_t I = 0; I != R.Executions.size() && I < 4; ++I)
       printf("%s", executionToDot(R.Executions[I],
                                   Program.Name + std::to_string(I))
