@@ -7,11 +7,15 @@
 #include "core/Campaign.h"
 
 #include "litmus/Parser.h"
+#include "litmus/Printer.h"
 #include "sim/Simulator.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 using namespace telechat;
@@ -160,9 +164,114 @@ TelechatResult telechat::renameTelechatResult(const TelechatResult &Rep,
   return R;
 }
 
-TelechatResult
-telechat::runCampaignUnit(const CampaignUnit &U,
-                          const std::vector<CampaignConfig> &Configs) {
+SourceMemo::SourceMemo(const std::vector<CampaignConfig> &Configs) {
+  // What a config simulates on the source side (runCampaignUnit's two
+  // paths): whether l2c augments the test, the model, and the options.
+  struct Side {
+    bool Augmented;
+    std::string Model;
+    SimOptions Sim;
+    bool operator==(const Side &) const = default;
+  };
+  std::vector<Side> Sides;
+  for (const CampaignConfig &C : Configs) {
+    SimOptions Sim = C.Opts.Sim;
+    Sim.Jobs = 1;
+    Side S{!C.SimulateOnly && C.Opts.AugmentLocals, C.Opts.SourceModel,
+           C.SimulateOnly ? Sim : sourceSimOptions(Sim)};
+    auto It = std::find(Sides.begin(), Sides.end(), S);
+    ClassOf.push_back(uint32_t(It - Sides.begin()));
+    if (It == Sides.end()) {
+      Classes.emplace_back().WallClock = S.Sim.TimeoutSeconds > 0;
+      Sides.push_back(std::move(S));
+    }
+    ++Classes[ClassOf.back()].Size;
+  }
+  for (uint32_t &Class : ClassOf) {
+    if (Classes[Class].Size < 2)
+      Class = Alone;
+    else
+      Shared = true;
+  }
+}
+
+struct SourceMemo::Entry {
+  uint32_t Pending = 0; ///< Units of this key that have not started.
+  enum class State { Empty, Running, Done } S = State::Empty;
+  SimResult Result;
+  std::condition_variable Changed;
+};
+
+SourceMemoStats SourceMemo::stats() const {
+  std::lock_guard<std::mutex> Lock(M);
+  SourceMemoStats Out = Stats;
+  Out.LeftEntries = Live;
+  return Out;
+}
+
+void SourceMemoTicket::start(const LitmusTest &Simulated) {
+  std::string Key = printLitmusC(Simulated);
+  std::lock_guard<std::mutex> Lock(Memo.M);
+  ++Memo.Stats.Keys;
+  SourceMemo::Class &C = Memo.Classes[Class];
+  auto [It, New] = C.Entries.try_emplace(std::move(Key));
+  if (New) {
+    It->second = std::make_shared<SourceMemo::Entry>();
+    It->second->Pending = C.Size;
+    Memo.Stats.PeakEntries = std::max(Memo.Stats.PeakEntries, ++Memo.Live);
+  }
+  E = It->second;
+  if (--E->Pending == 0) {
+    C.Entries.erase(It);
+    --Memo.Live;
+  }
+}
+
+SimResult
+SourceMemoTicket::simulate(const std::function<SimResult()> &Compute) {
+  using Clock = std::chrono::steady_clock;
+  using State = SourceMemo::Entry::State;
+  Clock::time_point T0 = Clock::now();
+  bool Hit = false;
+  {
+    std::unique_lock<std::mutex> Lock(Memo.M);
+    E->Changed.wait(Lock, [&] { return E->S != State::Running; });
+    Hit = E->S == State::Done;
+    if (Hit)
+      ++Memo.Stats.Hits;
+    else
+      E->S = State::Running;
+  }
+  if (Hit) {
+    // Done is final, so the result is read without the lock.
+    SimResult R = E->Result;
+    R.Stats.Seconds = std::chrono::duration<double>(Clock::now() - T0).count();
+    return R;
+  }
+  SimResult R = Compute();
+  // A run cut by the wall clock depends on the machine's load: the next
+  // unit of the key simulates for itself instead of inheriting this
+  // one's luck. Step-budget cuts and model errors are deterministic and
+  // shared.
+  bool Share = !(R.TimedOut && Memo.Classes[Class].WallClock);
+  SimResult Copy = Share ? R : SimResult();
+  {
+    std::lock_guard<std::mutex> Lock(Memo.M);
+    ++Memo.Stats.Simulations;
+    E->S = Share ? State::Done : State::Empty;
+    E->Result = std::move(Copy);
+  }
+  E->Changed.notify_all();
+  return R;
+}
+
+namespace {
+
+/// runCampaignUnit, answering step 3 from \p Memo when the unit's
+/// config shares its source side with another.
+TelechatResult executeUnit(const CampaignUnit &U,
+                           const std::vector<CampaignConfig> &Configs,
+                           SourceMemo *Memo) {
   TelechatResult R;
   if (U.Config >= Configs.size()) {
     R.Error = strFormat("campaign unit %llu references config %u of %zu",
@@ -173,13 +282,29 @@ telechat::runCampaignUnit(const CampaignUnit &U,
   const CampaignConfig &C = Configs[U.Config];
   TestOptions PerUnit = C.Opts;
   PerUnit.Sim.Jobs = 1; // Parallelism lives across units, not inside one.
+  std::optional<SourceMemoTicket> Ticket;
+  if (Memo && Memo->classOf(U.Config) != SourceMemo::Alone)
+    Ticket.emplace(*Memo, Memo->classOf(U.Config));
   if (C.SimulateOnly) {
-    R.SourceSim = simulateC(U.Test, PerUnit.SourceModel, PerUnit.Sim);
+    auto Simulate = [&] {
+      return simulateC(U.Test, PerUnit.SourceModel, PerUnit.Sim);
+    };
+    if (Ticket)
+      Ticket->start(U.Test);
+    R.SourceSim = Ticket ? Ticket->simulate(Simulate) : Simulate();
     if (!R.SourceSim.ok())
       R.Error = "source simulation: " + R.SourceSim.Error;
     return R;
   }
-  return runTelechat(U.Test, C.P, PerUnit);
+  return runTelechat(U.Test, C.P, PerUnit, Ticket ? &*Ticket : nullptr);
+}
+
+} // namespace
+
+TelechatResult
+telechat::runCampaignUnit(const CampaignUnit &U,
+                          const std::vector<CampaignConfig> &Configs) {
+  return executeUnit(U, Configs, nullptr);
 }
 
 ErrorOr<std::vector<LitmusTest>>
@@ -232,17 +357,25 @@ bool telechat::writeTextFile(const std::string &Path,
 void telechat::runCampaignUnits(
     UnitSource &Source, const std::vector<CampaignConfig> &Configs,
     ThreadPool &Pool,
-    const std::function<void(const CampaignUnit &, TelechatResult)> &Done) {
+    const std::function<void(const CampaignUnit &, TelechatResult)> &Done,
+    SourceMemoStats *MemoStats) {
+  // A single config shares with nothing: skip even the classification.
+  std::optional<SourceMemo> Memo;
+  if (Configs.size() > 1 && !Memo.emplace(Configs).shared())
+    Memo.reset();
+  SourceMemo *Shared = Memo ? &*Memo : nullptr;
   auto Lane = [&] {
     CampaignUnit U;
     while (Source.next(U))
-      Done(U, runCampaignUnit(U, Configs));
+      Done(U, executeUnit(U, Configs, Shared));
   };
   if (Pool.size() == 1) {
     Lane();
-    return;
+  } else {
+    for (unsigned L = 0; L != Pool.size(); ++L)
+      Pool.submit(Lane);
+    Pool.wait();
   }
-  for (unsigned L = 0; L != Pool.size(); ++L)
-    Pool.submit(Lane);
-  Pool.wait();
+  if (MemoStats)
+    *MemoStats = Memo ? Memo->stats() : SourceMemoStats();
 }

@@ -34,8 +34,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 namespace telechat {
@@ -246,17 +249,106 @@ campaignUnitMeta(const std::vector<CampaignUnit> &Units);
 /// Executes one unit under its config. An out-of-range config index
 /// yields a result whose Error says so (never aborts: a malformed remote
 /// corpus must not kill a worker). Forces Sim.Jobs=1; see the file
-/// comment.
+/// comment. Never shares a source simulation: this is the reference
+/// that runCampaignUnits' memoised executor must reproduce.
 TelechatResult runCampaignUnit(const CampaignUnit &U,
                                const std::vector<CampaignConfig> &Configs);
 
+/// What the source memo of one runCampaignUnits call did. All zero when
+/// no two configs share a source key (the memo was never built).
+struct SourceMemoStats {
+  uint64_t Keys = 0;        ///< Units that built their source key.
+  uint64_t Simulations = 0; ///< Source simulations those units ran.
+  uint64_t Hits = 0;        ///< Units answered by another's simulation.
+  uint64_t PeakEntries = 0; ///< Most entries held at once.
+  /// Entries still held when the units ran out: keys some of whose
+  /// units never reached a lane (deduped, replayed, or leased to
+  /// another worker).
+  uint64_t LeftEntries = 0;
+};
+
+/// Fig. 5 step 3, shared across the units of one runCampaignUnits call.
+/// A unit's source result depends only on the test it simulates (after
+/// l2c), the source model and the source-side SimOptions -- never on the
+/// profile -- so a campaign of N tests x M profiles needs N source
+/// simulations, not N x M.
+///
+/// Configs alike in that source side (model, options after the explore
+/// reroute, and whether l2c augments) form a class. Within a class the
+/// key is the full printLitmusC text of the simulated test: exact, so a
+/// hit needs no renaming (canonical duplicates are --dedupe's business,
+/// and canonicalizeTest, which tries every thread permutation, costs
+/// more than printing). Configs alone in their class never touch the
+/// memo, and a table with no shared class builds none.
+///
+/// Each entry is simulated once: a unit that finds its key being
+/// simulated by another lane waits for that result. An entry starts
+/// with the size of its class and every unit releases one count when it
+/// starts (so a unit whose compile fails still releases); at zero the
+/// entry leaves the table. No LRU is needed: at most one entry per
+/// distinct test and class is ever held. A hit copies the SourceSim verbatim, all
+/// SimStats included, except Stats.Seconds, which is the time the unit
+/// itself spent. A run that timed out under a wall-clock TimeoutSeconds
+/// is not deterministic and is never shared.
+class SourceMemo {
+public:
+  explicit SourceMemo(const std::vector<CampaignConfig> &Configs);
+  /// Whether any two configs share a class.
+  bool shared() const { return Shared; }
+  static constexpr uint32_t Alone = UINT32_MAX;
+  /// The class of \p Config (a valid index), or Alone.
+  uint32_t classOf(uint32_t Config) const { return ClassOf[Config]; }
+  SourceMemoStats stats() const;
+
+private:
+  friend class SourceMemoTicket;
+  struct Entry;
+  struct Class {
+    uint32_t Size = 0;      ///< Configs in the class.
+    bool WallClock = false; ///< Its options set a TimeoutSeconds.
+    /// Simulated test text -> entry.
+    std::unordered_map<std::string, std::shared_ptr<Entry>> Entries;
+  };
+
+  std::vector<uint32_t> ClassOf; ///< Config -> class, or Alone.
+  bool Shared = false;
+  /// Guards the entry tables, every entry's state, Stats and Live.
+  mutable std::mutex M;
+  std::vector<Class> Classes;    ///< One per distinct source side.
+  SourceMemoStats Stats;
+  uint64_t Live = 0;
+};
+
+/// One unit's claim on a SourceMemo entry: start() when the simulated
+/// test is known, then simulate() at step 3.
+class SourceMemoTicket {
+public:
+  SourceMemoTicket(SourceMemo &Memo, uint32_t Class)
+      : Memo(Memo), Class(Class) {}
+  /// Builds the key of \p Simulated and releases this unit's count.
+  void start(const LitmusTest &Simulated);
+  /// The entry's result, or \p Compute's when this unit is the first to
+  /// need it (it is then shared, unless a wall-clock timeout cut it).
+  SimResult simulate(const std::function<SimResult()> &Compute);
+
+private:
+  SourceMemo &Memo;
+  uint32_t Class;
+  std::shared_ptr<SourceMemo::Entry> E;
+};
+
 /// Drains \p Source over the pool: every executor lane loops
 /// next/execute/Done until the source is empty. \p Done is invoked from
-/// pool threads (possibly concurrently) exactly once per unit.
+/// pool threads (possibly concurrently) exactly once per unit. Units
+/// whose configs share a source key share one source simulation through
+/// a SourceMemo that lives for this call; results are identical to
+/// runCampaignUnit's except for Seconds. \p MemoStats, when given,
+/// receives what the memo did.
 void runCampaignUnits(
     UnitSource &Source, const std::vector<CampaignConfig> &Configs,
     ThreadPool &Pool,
-    const std::function<void(const CampaignUnit &, TelechatResult)> &Done);
+    const std::function<void(const CampaignUnit &, TelechatResult)> &Done,
+    SourceMemoStats *MemoStats = nullptr);
 
 /// Reads a corpus file: one or more C litmus tests, each starting at a
 /// line beginning with "C <name>" (diy-gen --suite output concatenates

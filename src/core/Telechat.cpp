@@ -12,12 +12,25 @@
 
 using namespace telechat;
 
+SimOptions telechat::sourceSimOptions(const SimOptions &Sim) {
+  SimOptions Source = Sim;
+  if (Source.Backend == SimBackendKind::Explore)
+    Source.Backend = SimBackendKind::Auto;
+  Source.ExploreBudget = 0;
+  return Source;
+}
+
 TelechatResult telechat::runTelechat(const LitmusTest &S, const Profile &P,
-                                     const TestOptions &O) {
+                                     const TestOptions &O,
+                                     SourceMemoTicket *Memo) {
   TelechatResult R;
 
   // Step 2a (l2c): prepare for compilation.
   R.Prepared = O.AugmentLocals ? augmentLocalObservations(S) : S;
+  // The unit has started: it releases its share of the memo entry now,
+  // so a unit whose compile fails below still lets the entry go.
+  if (Memo)
+    Memo->start(R.Prepared);
 
   // Step 2b (c2s): compile and disassemble.
   ErrorOr<CompileOutput> Compiled = compileLitmus(R.Prepared, P);
@@ -37,16 +50,12 @@ TelechatResult telechat::runTelechat(const LitmusTest &S, const Profile &P,
   R.OptAsm = O.OptimiseCompiled ? optimiseAsmLitmus(*Parsed, &R.OptStats)
                                 : std::move(*Parsed);
 
-  // Step 3: simulate S under the source model. The source side is the
-  // comparison oracle, so it always runs exhaustively: a dynamic
-  // (explore) selection or an ExploreBudget reroute applies to the
-  // *target* only. A sound-subset source set would turn explore
-  // under-coverage into positive differences, i.e. false bug reports.
-  SimOptions SourceSim = O.Sim;
-  if (SourceSim.Backend == SimBackendKind::Explore)
-    SourceSim.Backend = SimBackendKind::Auto;
-  SourceSim.ExploreBudget = 0;
-  R.SourceSim = simulateC(R.Prepared, O.SourceModel, SourceSim);
+  // Step 3: simulate S under the source model (exhaustively; see
+  // sourceSimOptions).
+  auto SimulateSource = [&] {
+    return simulateC(R.Prepared, O.SourceModel, sourceSimOptions(O.Sim));
+  };
+  R.SourceSim = Memo ? Memo->simulate(SimulateSource) : SimulateSource();
   if (!R.SourceSim.ok()) {
     R.Error = "source simulation: " + R.SourceSim.Error;
     return R;

@@ -66,9 +66,23 @@ struct TelechatResult {
   bool isBug() const { return ok() && !timedOut() && Compare.isBug(); }
 };
 
-/// Runs the full pipeline on one test under one profile.
+/// The options step 3 simulates the source side with. The source side is
+/// the comparison oracle, so it always runs exhaustively: a dynamic
+/// (explore) selection or an ExploreBudget reroute applies to the
+/// *target* only. A sound-subset source set would turn explore
+/// under-coverage into positive differences, i.e. false bug reports.
+SimOptions sourceSimOptions(const SimOptions &Sim);
+
+/// One campaign unit's claim on its campaign's shared source results
+/// (core/Campaign.h).
+class SourceMemoTicket;
+
+/// Runs the full pipeline on one test under one profile. With \p Memo,
+/// step 3 is answered by the campaign's source memo: a unit of the same
+/// source key that simulated first hands over its result.
 TelechatResult runTelechat(const LitmusTest &S, const Profile &P,
-                           const TestOptions &O = TestOptions());
+                           const TestOptions &O = TestOptions(),
+                           SourceMemoTicket *Memo = nullptr);
 
 /// Campaign driver: runs the full pipeline on every test, spread over a
 /// thread pool of \p Jobs workers (0 = one per hardware thread). Results

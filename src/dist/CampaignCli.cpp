@@ -94,9 +94,19 @@ int incompleteExit(size_t Errors, size_t Timeouts) {
   return 1;
 }
 
+/// "profile P" or "profiles P, Q, ...": every profile of the table.
+std::string profileList(const std::vector<CampaignConfig> &Configs) {
+  std::vector<std::string> Names;
+  for (const CampaignConfig &C : Configs)
+    Names.push_back(C.P.name());
+  return (Names.size() == 1 ? "profile " : "profiles ") +
+         joinStrings(Names, ", ");
+}
+
 /// Pipeline-campaign summary (bug table); exit 2 on bugs, like
 /// single-test mode, else incompleteExit.
 int summarisePipeline(const std::vector<CampaignUnitMeta> &Units,
+                      const std::vector<CampaignConfig> &Configs,
                       const std::vector<TelechatResult> &Results) {
   size_t Bugs = 0, Errors = 0, Timeouts = 0;
   for (size_t I = 0; I != Results.size(); ++I) {
@@ -112,8 +122,9 @@ int summarisePipeline(const std::vector<CampaignUnitMeta> &Units,
       ++Timeouts;
     }
   }
-  printf("campaign: %zu units, %zu bugs, %zu errors, %zu timeouts\n",
-         Results.size(), Bugs, Errors, Timeouts);
+  printf("campaign: %zu units (%s), %zu bugs, %zu errors, %zu timeouts\n",
+         Results.size(), profileList(Configs).c_str(), Bugs, Errors,
+         Timeouts);
   return Bugs ? 2 : incompleteExit(Errors, Timeouts);
 }
 
@@ -139,7 +150,7 @@ int summariseSim(const std::vector<CampaignUnitMeta> &Units,
 
 /// Everything the campaign/serve flags set.
 struct CampaignArgs {
-  std::string ProfileName = "llvm-O2-AArch64";
+  std::vector<Profile> Profiles;
   TestOptions Options;
   unsigned Jobs = 0;
   std::vector<CorpusSpec> Corpus;
@@ -166,7 +177,9 @@ void addLeaseServerFlags(FlagTable &T, LeaseServerOptions &O) {
          cliSwitch("--verbose", O.Verbose, true, "progress lines on stderr")});
 }
 
-FlagTable campaignFlags(CampaignArgs &A) {
+/// The campaign/serve table; only --serve takes the lease-server group
+/// (a local campaign leases nothing).
+FlagTable campaignFlags(CampaignArgs &A, bool Serve) {
   auto Add = [&A](CorpusSpec::Kind K) {
     return [&A, K](const char *V) {
       A.Corpus.push_back({K, V ? V : ""});
@@ -233,9 +246,10 @@ FlagTable campaignFlags(CampaignArgs &A) {
                    "journal as header + results in unit-id\n"
                    "order (duplicates and partial tail\n"
                    "dropped); resume stays byte-identical")});
-  addPipelineFlags(T, A.ProfileName, A.Options);
+  addPipelineFlags(T, A.Profiles, A.Options, /*ProfileList=*/true);
   addSimFlags(T, A.Options.Sim);
-  addLeaseServerFlags(T, A.ServerOpts);
+  if (Serve)
+    addLeaseServerFlags(T, A.ServerOpts);
   return T;
 }
 
@@ -263,12 +277,42 @@ FlagTable workerFlags(std::string &Host, uint16_t &Port, WorkerOptions &O) {
 
 } // namespace
 
-void telechat::addPipelineFlags(FlagTable &T, std::string &ProfileName,
-                                TestOptions &Options) {
+void telechat::addPipelineFlags(FlagTable &T, std::vector<Profile> &Profiles,
+                                TestOptions &Options, bool ProfileList) {
+  // The default, until the first --profile replaces it.
+  Profiles.assign(1, Profile());
+  profileFromName("llvm-O2-AArch64", Profiles[0]);
+  auto AddProfiles = [&Profiles, ProfileList,
+                      Given = false](const char *V) mutable -> std::string {
+    const char *Expect =
+        ProfileList ? "comma-separated distinct profile names such as "
+                      "llvm-O2-AArch64,gcc-O1-ARMv7+lse"
+                    : "one profile name such as llvm-O2-AArch64 or "
+                      "gcc-O1-ARMv7+lse";
+    std::vector<std::string> Names = splitString(V, ',');
+    if (!ProfileList && Names.size() != 1)
+      return Expect;
+    // Lists append; a repeated single name keeps its last value.
+    if (!Given || !ProfileList)
+      Profiles.clear();
+    Given = true;
+    for (const std::string &Name : Names) {
+      Profile P;
+      if (!profileFromName(Name, P))
+        return Expect;
+      for (const Profile &Q : Profiles)
+        if (Q.name() == P.name())
+          return Expect;
+      Profiles.push_back(P);
+    }
+    return "";
+  };
   T.add(PipelineGroup,
-        {cliString("--profile", "<name>", ProfileName,
-                   "compiler profile (default llvm-O2-AArch64),\n"
-                   "e.g. gcc-O1-ARMv7, llvm-O3-AArch64+lse+rcpc"),
+        {cliChecked("--profile", "<name>[,...]", AddProfiles,
+                    "compiler profile (default llvm-O2-AArch64),\n"
+                    "e.g. gcc-O1-ARMv7, llvm-O3-AArch64+lse+rcpc;\n"
+                    "campaigns take a comma list and the flag\n"
+                    "may repeat: one config per profile, in order"),
          cliEnum("--model", "<name>", modelNames(),
                  [&Options](const std::string &M) { Options.SourceModel = M; },
                  "source model (default rc11)"),
@@ -310,7 +354,7 @@ void telechat::printToolUsage(const char *Synopsis, const FlagTable &Single) {
   std::set<std::string> Printed;
   Single.printHelp(Printed);
   CampaignArgs Campaign;
-  campaignFlags(Campaign).printHelp(Printed);
+  campaignFlags(Campaign, /*Serve=*/true).printHelp(Printed);
   std::string Host;
   uint16_t Port = 0;
   WorkerOptions Worker;
@@ -321,7 +365,7 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
                                CampaignCliMode Mode) {
   bool Serve = Mode != CampaignCliMode::Local;
   CampaignArgs Cli;
-  FlagTable Flags = campaignFlags(Cli);
+  FlagTable Flags = campaignFlags(Cli, Serve);
   if (Serve)
     Flags.operand(
         cliNumber("--serve", nullptr, Cli.ServerOpts.Port, 0, 65535, nullptr));
@@ -395,12 +439,13 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
     printf("resuming campaign from %s: %zu results replayed\n",
            Cli.JournalPath.c_str(), Replay.size());
   } else {
-    Profile P;
-    if (!SimOnly && !profileFromName(Cli.ProfileName, P)) {
-      fprintf(stderr, "error: unknown profile '%s'\n", Cli.ProfileName.c_str());
-      return 1;
-    }
-    Configs = {{P, Cli.Options, SimOnly}};
+    // One config per profile, in the order given; a simulation-only
+    // campaign compiles nothing, so it has one config whatever --profile
+    // says.
+    if (SimOnly)
+      Cli.Profiles.assign(1, Profile());
+    for (const Profile &P : Cli.Profiles)
+      Configs.push_back({P, Cli.Options, SimOnly});
     if (UseGen && !Cli.Materialise) {
       // Streamed: the corpus exists only as this spec; units are
       // generated as they are leased (or executed, locally).
@@ -422,7 +467,8 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
         return 1;
       }
       Spec.K = CampaignSourceSpec::Kind::Corpus;
-      Spec.Units = makeCampaignUnits(Tests);
+      Spec.Units =
+          makeCampaignUnits(Tests, uint32_t(Configs.size()), /*Cross=*/true);
     }
     if (!Cli.JournalPath.empty()) {
       // Exists-check up front (cheap, before corpus work); the journal
@@ -481,11 +527,11 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
              Cli.ServerOpts.BindAddress.c_str(), unsigned(Server.port()),
              Configs[0].Opts.SourceModel.c_str());
     else
-      printf("serving %s%llu units on %s:%u (profile %s, model %s)\n",
+      printf("serving %s%llu units on %s:%u (%s, model %s)\n",
              Streamed ? "up to " : "",
              static_cast<unsigned long long>(Hint),
              Cli.ServerOpts.BindAddress.c_str(), unsigned(Server.port()),
-             Configs[0].P.name().c_str(),
+             profileList(Configs).c_str(),
              Configs[0].Opts.SourceModel.c_str());
     fflush(stdout);
     CampaignReport Report = Server.run();
@@ -563,14 +609,23 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
     };
 
     ThreadPool Pool(resolveJobs(Cli.Jobs));
-    runCampaignUnits(Replayer, Configs, Pool,
-                     [&](const CampaignUnit &U, TelechatResult R) {
-                       JournalAppend(U.Id, R);
-                       Results[U.Id] = std::move(R);
-                       if (Streamed)
-                         Meta[U.Id] =
-                             CampaignUnitMeta{U.Test.Name, U.Config};
-                     });
+    SourceMemoStats Memo;
+    runCampaignUnits(
+        Replayer, Configs, Pool,
+        [&](const CampaignUnit &U, TelechatResult R) {
+          JournalAppend(U.Id, R);
+          Results[U.Id] = std::move(R);
+          if (Streamed)
+            Meta[U.Id] = CampaignUnitMeta{U.Test.Name, U.Config};
+        },
+        &Memo);
+    if (Memo.Keys)
+      printf("source memo: %llu source simulations for %llu units "
+             "(%llu shared, at most %llu held)\n",
+             static_cast<unsigned long long>(Memo.Simulations),
+             static_cast<unsigned long long>(Memo.Keys),
+             static_cast<unsigned long long>(Memo.Hits),
+             static_cast<unsigned long long>(Memo.PeakEntries));
     if (Streamed) {
       // The generator may stop short of the plan; the corpus is what it
       // actually produced.
@@ -628,7 +683,7 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
                  campaignResultsJson(Meta, Configs, Results)))
     return 1;
   int Exit = SimOnly ? summariseSim(Meta, Results)
-                     : summarisePipeline(Meta, Results);
+                     : summarisePipeline(Meta, Configs, Results);
   if (!ServeError.empty()) {
     // The merged results above are valid, but the run broke a promise
     // (journal stopped accepting appends, or the source misbehaved):

@@ -58,11 +58,15 @@ int relayToolMain(int argc, char **argv, void (*Usage)());
 /// the process exit code.
 int workerToolMain(int argc, char **argv, void (*Usage)());
 
-/// The pipeline group: --profile (into \p ProfileName), --model,
-/// --no-augment, --no-optimise, --const-model and --explore-budget (which
-/// only ever reroutes the compiled side).
-void addPipelineFlags(FlagTable &T, std::string &ProfileName,
-                      TestOptions &Options);
+/// The pipeline group: --profile (into \p Profiles, which starts as the
+/// default profile), --model, --no-augment, --no-optimise, --const-model
+/// and --explore-budget (which only ever reroutes the compiled side).
+/// With \p ProfileList, --profile takes a comma list and may repeat,
+/// appending in order (a campaign's config table); without, it takes one
+/// name and a repeat replaces it. Unknown and repeated profile names are
+/// refused values.
+void addPipelineFlags(FlagTable &T, std::vector<Profile> &Profiles,
+                      TestOptions &Options, bool ProfileList);
 
 /// The simulation group every simulating mode takes: --backend,
 /// --max-steps, --no-prune, --no-transform, --no-cat-cache.

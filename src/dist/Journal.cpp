@@ -214,7 +214,8 @@ ErrorOr<JournalContents> telechat::readJournal(const std::string &Path) {
       J.Configs.resize(NConfigs);
       for (CampaignConfig &Config : J.Configs)
         if (!decodeCampaignConfig(C, Config))
-          return makeError(Path + ": corrupt config table");
+          return makeError(Path + ": corrupt config table" +
+                           (C.why().empty() ? "" : ": " + C.why()));
       if (!C.ok() || C.remaining() != 0)
         return makeError(Path + ": corrupt journal header");
       SeenHeader = true;

@@ -6,6 +6,10 @@
 
 #include "dist/Serialize.h"
 
+#include "models/Models.h"
+
+#include <algorithm>
+
 using namespace telechat;
 
 namespace {
@@ -296,6 +300,12 @@ void telechat::encodeTestOptions(WireBuffer &B, const TestOptions &O) {
 
 bool telechat::decodeTestOptions(WireCursor &C, TestOptions &O) {
   O.SourceModel = C.readString();
+  // getModel aborts on a name it lacks: a server or journal from another
+  // build must be refused here, naming the model.
+  std::vector<std::string> Models = modelNames();
+  if (C.ok() &&
+      std::find(Models.begin(), Models.end(), O.SourceModel) == Models.end())
+    C.fail("unknown source model '" + O.SourceModel + "'");
   O.AugmentLocals = C.readBool();
   O.OptimiseCompiled = C.readBool();
   O.ConstAugmentedModel = C.readBool();

@@ -88,6 +88,15 @@ public:
 
   bool ok() const { return !Failed; }
   size_t remaining() const { return size_t(End - P); }
+  /// Fails the cursor for a reason beyond framing (a well-formed value
+  /// the decoder refuses); the first reason given sticks.
+  void fail(std::string Why) {
+    Failed = true;
+    if (Reason.empty())
+      Reason = std::move(Why);
+  }
+  /// What fail() was told, or "" (truncation, a hostile count, ...).
+  const std::string &why() const { return Reason; }
 
   uint8_t readU8() { return readLE<uint8_t>(); }
   uint16_t readU16() { return readLE<uint16_t>(); }
@@ -139,6 +148,7 @@ private:
   const uint8_t *P;
   const uint8_t *End;
   bool Failed = false;
+  std::string Reason;
 };
 
 /// One protocol frame.

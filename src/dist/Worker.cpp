@@ -44,7 +44,8 @@ ErrorOr<CampaignHello> telechat::clientHandshake(TcpSocket &Sock,
   Hello.Configs.resize(C.readCount(8));
   for (CampaignConfig &Config : Hello.Configs)
     if (!decodeCampaignConfig(C, Config))
-      return makeError("handshake: bad config table");
+      return makeError("handshake: bad config table" +
+                       (C.why().empty() ? "" : ": " + C.why()));
   if (!C.ok() || Version != WireVersion)
     return makeError("handshake: bad HelloAck");
   Hello.Payload = std::move(F->Payload);

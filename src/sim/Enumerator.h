@@ -150,6 +150,8 @@ struct SimOptions {
   /// function of the program, so every party of a distributed campaign
   /// splits identically. 0 (default) disables the split.
   uint64_t ExploreBudget = 0;
+
+  bool operator==(const SimOptions &) const = default;
 };
 
 /// Counters for one simulation run. All counters except Seconds are

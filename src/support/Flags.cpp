@@ -29,6 +29,19 @@ CliFlag telechat::cliString(const char *Name, const char *Value,
           }};
 }
 
+CliFlag telechat::cliChecked(const char *Name, const char *Value,
+                             std::function<std::string(const char *)> Take,
+                             const char *Help) {
+  return {Name, nullptr, Value, Help,
+          [Name, Take = std::move(Take)](const char *V) {
+            std::string Expect = Take(V);
+            if (Expect.empty())
+              return true;
+            detail::reportBadValue(Name, V, Expect);
+            return false;
+          }};
+}
+
 CliFlag telechat::cliEnum(const char *Name, const char *Value,
                           std::vector<std::string> Choices,
                           std::function<void(const std::string &)> Store,

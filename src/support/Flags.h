@@ -7,12 +7,12 @@
 /// \file
 /// One flag table and one parse loop for every tool. A table entry names
 /// a flag (and an optional second spelling, such as --jobs for -j), says
-/// how its value is read -- a switch, a string, a number in a range, one
-/// of a fixed set of names, or a host:port -- and where it goes, and
-/// carries the flag's help line, so usage text is generated from the
-/// table that parses. Flags come in named groups that several modes
-/// share (the pipeline knobs, the simulation knobs, the lease server's
-/// downstream knobs, ...).
+/// how its value is read -- a switch, a string (free, or checked by a
+/// callback), a number in a range, one of a fixed set of names, or a
+/// host:port -- and where it goes, and carries the flag's help line, so
+/// usage text is generated from the table that parses. Flags come in
+/// named groups that several modes share (the pipeline knobs, the
+/// simulation knobs, the lease server's downstream knobs, ...).
 ///
 /// One exit rule holds for every tool, before any work starts: an
 /// unknown flag, a flag missing its value or a missing operand prints
@@ -54,6 +54,13 @@ CliFlag cliSwitch(const char *Name, bool &Target, bool To, const char *Help);
 /// String: stores the value verbatim.
 CliFlag cliString(const char *Name, const char *Value, std::string &Target,
                   const char *Help);
+
+/// Checked string: \p Take stores the value and returns "", or refuses
+/// it by returning what the flag expects ("error: <flag> expects
+/// <that>, got '<value>'").
+CliFlag cliChecked(const char *Name, const char *Value,
+                   std::function<std::string(const char *)> Take,
+                   const char *Help);
 
 /// Number: parseFlagNumber into \p Target within [Min, Max].
 template <typename T>

@@ -204,6 +204,49 @@ def main():
         expect([litmus_sim, mp, "-j4"], 0, "States 3")
         expect([litmus_sim, mp, "-j-3"], 2, "-j")
         expect([telechat, "--work", "127.0.0.1:1", "-j-1"], 2, "-j")
+        # Profile names are checked in the flag table like every other
+        # value: one name, or in campaigns a comma list that may repeat.
+        campaign = [telechat, "--campaign", "--classics"]
+        expect(campaign + ["--profile", "bogus"], 2, "--profile expects")
+        expect(campaign + ["--profile", "llvm-O2-AArch64,bogus"], 2,
+               "--profile expects")
+        expect(campaign + ["--profile", "llvm-O2-AArch64,"], 2,
+               "--profile expects")
+        expect(campaign + ["--profile", "llvm-O2-AArch64,gcc-O2-ARMv7",
+                           "--profile", "llvm-O2-AArch64"], 2,
+               "--profile expects")
+        expect([telechat, "--serve", "0", "--classics", "--profile",
+                "gcc-O9-ARMv7"], 2, "--profile expects")
+        expect([telechat, mp, "--profile", "bogus"], 2, "--profile expects")
+        expect([telechat, mp, "--profile", "llvm-O2-AArch64,gcc-O2-ARMv7"],
+               2, "--profile expects one profile name")
+        expect([telechat, mp, "--profile", "gcc-O2-ARMv7", "--profile",
+                "llvm-O2-AArch64"], 0, "verdict:")
+        # A profile list is one campaign over a config table, test-major;
+        # the source side of each test is simulated once, not per profile.
+        expect(campaign + ["--profile", "llvm-O2-AArch64,gcc-O2-ARMv7",
+                           "--profile", "llvm-O2-x86-64", "-j", "2"], 2,
+               "57 units (profiles llvm-O2-AArch64, gcc-O2-ARMv7, "
+               "llvm-O2-x86-64), 2 bugs, 0 errors, 0 timeouts")
+        expect(campaign + ["--profile", "llvm-O2-AArch64,gcc-O2-ARMv7",
+                           "-j", "2"], 2,
+               "source memo: 19 source simulations for 38 units")
+        # A local campaign leases nothing: the lease-server flags are
+        # unknown there instead of parsed and ignored; --serve takes them
+        # (the refused --max-steps at the end proves the rest parsed).
+        for flag, value in (("--bind", "1.2.3.4"), ("--batch", "3"),
+                            ("--lease-timeout", "5"),
+                            ("--status-port", "9")):
+            expect(campaign + [flag, value], 1,
+                   "unknown option '%s'" % flag)
+        expect(campaign + ["--verbose"], 1, "unknown option '--verbose'")
+        expect(serve + ["--bind", "127.0.0.1", "--batch", "3",
+                        "--lease-timeout", "5", "--status-port", "0",
+                        "--verbose", "--max-steps", "0"], 2,
+               "--max-steps expects")
+        # diy-gen prints its usage on --help, like the other tools.
+        expect([diy_gen, "--help"], 0, "usage: diy-gen",
+               absent="bad cycle edge")
     if failures:
         print("%d check(s) failed" % len(failures))
         return 1

@@ -22,9 +22,11 @@
 #include "dist/Worker.h"
 #include "dist/WorkServer.h"
 #include "diy/Classics.h"
+#include "diy/Config.h"
 #include "diy/Generator.h"
 #include "litmus/Printer.h"
 #include "litmus/Snippet.h"
+#include "models/Models.h"
 #include "sim/Backend.h"
 #include "sim/Simulator.h"
 #include "support/StringUtils.h"
@@ -2565,6 +2567,300 @@ exists (P0:r0=0 && P1:r1=0)
   // (an empty campaign from a typo'd path would look like success).
   EXPECT_FALSE(readKernelDirectory((Dir / "nope").string()).hasValue());
   EXPECT_FALSE(readKernelDirectory((Dir / "sub").string()).hasValue());
+}
+
+//===----------------------------------------------------------------------===//
+// Source memo: one source simulation per test, however many profiles
+//===----------------------------------------------------------------------===//
+
+std::vector<CampaignConfig> profileConfigs(std::vector<const char *> Names) {
+  std::vector<CampaignConfig> Configs;
+  for (const char *Name : Names) {
+    CampaignConfig C;
+    EXPECT_TRUE(profileFromName(Name, C.P)) << Name;
+    Configs.push_back(C);
+  }
+  return Configs;
+}
+
+/// The six O2 arch profiles of a cross-architecture campaign.
+std::vector<CampaignConfig> sixProfileConfigs() {
+  return profileConfigs({"llvm-O2-AArch64", "gcc-O2-ARMv7", "llvm-O2-x86-64",
+                         "llvm-O2-RISCV", "llvm-O2-PPC", "gcc-O2-MIPS"});
+}
+
+/// A unit's result as the wire carries it, both Seconds zeroed: the
+/// bytes a memo hit must reproduce.
+std::vector<uint8_t> unitBytes(TelechatResult R) {
+  R.SourceSim.Stats.Seconds = 0;
+  R.TargetSim.Stats.Seconds = 0;
+  WireBuffer B;
+  encodeTelechatResult(B, R);
+  return std::vector<uint8_t>(B.data(), B.data() + B.size());
+}
+
+/// Drains \p Source through runCampaignUnits at \p Jobs lanes; results
+/// by unit id.
+std::vector<TelechatResult>
+runMemoised(UnitSource &Source, const std::vector<CampaignConfig> &Configs,
+            unsigned Jobs, size_t NumUnits, SourceMemoStats &Stats) {
+  std::vector<TelechatResult> Results(NumUnits);
+  ThreadPool Pool(Jobs);
+  runCampaignUnits(
+      Source, Configs, Pool,
+      [&](const CampaignUnit &U, TelechatResult R) {
+        Results[U.Id] = std::move(R);
+      },
+      &Stats);
+  return Results;
+}
+
+/// Every unit of \p Got equals the memo-free runCampaignUnit's \p Ref.
+void expectMatchesReference(const std::vector<CampaignUnit> &Units,
+                            const std::vector<TelechatResult> &Ref,
+                            const std::vector<TelechatResult> &Got,
+                            const std::string &What) {
+  ASSERT_EQ(Got.size(), Ref.size()) << What;
+  for (size_t I = 0; I != Units.size(); ++I)
+    EXPECT_EQ(unitBytes(Got[I]), unitBytes(Ref[I]))
+        << What << ": " << Units[I].Test.Name << " under config "
+        << Units[I].Config;
+}
+
+TEST(SourceMemoTest, SixProfileCampaignMatchesMemoFreeUnits) {
+  // The classics plus the seqlock kernels (the heaviest source sides)
+  // under six profiles: locally at 1 and 4 lanes, served to two workers
+  // and resumed from a journal, every unit's result is the memo-free
+  // executor's, byte for byte, every SimStats count included.
+  std::vector<LitmusTest> Tests;
+  for (const std::string &Name : classicNames())
+    Tests.push_back(classicTest(Name));
+  for (LitmusTest &T : suiteTests("realworld:seqlock", 0))
+    Tests.push_back(std::move(T));
+  std::vector<CampaignConfig> Configs = sixProfileConfigs();
+  std::vector<CampaignUnit> Units =
+      makeCampaignUnits(Tests, uint32_t(Configs.size()), true);
+  std::vector<TelechatResult> Ref;
+  for (const CampaignUnit &U : Units)
+    Ref.push_back(runCampaignUnit(U, Configs));
+
+  for (unsigned Jobs : {1u, 4u}) {
+    VectorUnitSource Source(Units);
+    SourceMemoStats Stats;
+    std::vector<TelechatResult> Got =
+        runMemoised(Source, Configs, Jobs, Units.size(), Stats);
+    expectMatchesReference(Units, Ref, Got, strFormat("-j %u", Jobs));
+    EXPECT_EQ(Stats.Simulations, Tests.size());
+    EXPECT_EQ(Stats.LeftEntries, 0u);
+    EXPECT_EQ(campaignResultsJson(Units, Configs, Got),
+              campaignResultsJson(Units, Configs, Ref));
+  }
+
+  {
+    WorkServer Server(Units, Configs, WorkServerOptions());
+    ASSERT_EQ(Server.start(), "");
+    uint16_t Port = Server.port();
+    CampaignReport Report;
+    std::thread Srv([&] { Report = Server.run(); });
+    WorkerOptions WOpts;
+    WOpts.Jobs = 2;
+    WOpts.BatchSize = 6;
+    std::thread W1([&] { runCampaignWorker("127.0.0.1", Port, WOpts); });
+    std::thread W2([&] { runCampaignWorker("127.0.0.1", Port, WOpts); });
+    W1.join();
+    W2.join();
+    Srv.join();
+    EXPECT_TRUE(Report.Error.empty()) << Report.Error;
+    expectMatchesReference(Units, Ref, Report.Results, "served");
+  }
+
+  // Resumed: the journal holds 9 results, so the second test's first
+  // three configs replay and its other three execute.
+  std::string Path = tmpJournalPath("memo_resume");
+  CampaignSourceSpec Spec;
+  Spec.Units = Units;
+  {
+    JournalWriter W;
+    ASSERT_EQ(W.create(Path, Spec, Configs), "");
+    for (uint64_t Id = 0; Id != 9; ++Id)
+      ASSERT_TRUE(W.appendResult(Id, Ref[Id]));
+  }
+  ErrorOr<JournalContents> J = readJournal(Path);
+  ASSERT_TRUE(J.hasValue()) << J.error();
+  std::map<uint64_t, TelechatResult> Replay(J->Results.begin(),
+                                            J->Results.end());
+  std::unique_ptr<UnitSource> Inner = J->Spec.makeSource();
+  ReplayingUnitSource Replayer(*Inner, std::move(Replay));
+  SourceMemoStats Stats;
+  std::vector<TelechatResult> Got =
+      runMemoised(Replayer, J->Configs, 4, Units.size(), Stats);
+  for (const ReplayingUnitSource::Applied &A : Replayer.applied())
+    Got[A.Id] = A.Result;
+  expectMatchesReference(Units, Ref, Got, "resumed");
+  EXPECT_EQ(Replayer.applied().size(), 9u);
+  // The first test never ran; the second's entry waits for three
+  // units that were replayed instead, until the call returns.
+  EXPECT_EQ(Stats.Simulations, Tests.size() - 1);
+  EXPECT_EQ(Stats.LeftEntries, 1u);
+  std::remove(Path.c_str());
+}
+
+TEST(SourceMemoTest, EachTestIsSimulatedOncePerCampaign) {
+  // Without the memo this campaign runs 6N source simulations.
+  std::vector<LitmusTest> Tests = loopbackCorpus();
+  std::vector<CampaignConfig> Configs = sixProfileConfigs();
+  std::vector<CampaignUnit> Units =
+      makeCampaignUnits(Tests, uint32_t(Configs.size()), true);
+  for (unsigned Jobs : {1u, 4u}) {
+    VectorUnitSource Source(Units);
+    SourceMemoStats Stats;
+    runMemoised(Source, Configs, Jobs, Units.size(), Stats);
+    EXPECT_EQ(Stats.Keys, Units.size());
+    EXPECT_EQ(Stats.Simulations, Tests.size());
+    EXPECT_EQ(Stats.Hits, Units.size() - Tests.size());
+    EXPECT_GE(Stats.PeakEntries, 1u);
+    EXPECT_LE(Stats.PeakEntries, Tests.size());
+    EXPECT_EQ(Stats.LeftEntries, 0u);
+  }
+}
+
+TEST(SourceMemoTest, UnitsWhoseCompileFailsStillReleaseTheirEntry) {
+  // 128-bit atomics compile for AArch64 only: the ARMv7 unit of each
+  // wide test fails at c2s, before step 3, and must still release its
+  // count (it comes first, so it also starts first at one lane).
+  std::vector<LitmusTest> Tests;
+  for (const char *Name : {"MP", "SB", "LB"}) {
+    LitmusTest Wide = classicTest(Name);
+    Wide.Name += "+int128";
+    for (LocDecl &L : Wide.Locations)
+      L.Type = IntType{128, true};
+    Tests.push_back(Wide);
+    Tests.push_back(classicTest(Name));
+  }
+  std::vector<CampaignConfig> Configs =
+      profileConfigs({"gcc-O2-ARMv7", "llvm-O2-AArch64"});
+  std::vector<CampaignUnit> Units =
+      makeCampaignUnits(Tests, uint32_t(Configs.size()), true);
+  std::vector<TelechatResult> Ref;
+  for (const CampaignUnit &U : Units)
+    Ref.push_back(runCampaignUnit(U, Configs));
+  ASSERT_NE(Ref[0].Error.find("compile: "), std::string::npos) << Ref[0].Error;
+  ASSERT_TRUE(Ref[1].ok()) << Ref[1].Error;
+
+  for (unsigned Jobs : {1u, 4u}) {
+    VectorUnitSource Source(Units);
+    SourceMemoStats Stats;
+    std::vector<TelechatResult> Got =
+        runMemoised(Source, Configs, Jobs, Units.size(), Stats);
+    expectMatchesReference(Units, Ref, Got, strFormat("-j %u", Jobs));
+    EXPECT_EQ(Stats.Keys, Units.size());
+    EXPECT_EQ(Stats.Simulations, Tests.size());
+    EXPECT_EQ(Stats.LeftEntries, 0u);
+  }
+}
+
+TEST(SourceMemoTest, TablesWithoutASharedSourceSideNeverBuildAKey) {
+  std::vector<LitmusTest> Tests = loopbackCorpus();
+  // One config (every single-profile campaign), and two configs that
+  // differ on the source side (the model).
+  std::vector<CampaignConfig> Single = profileConfigs({"llvm-O2-AArch64"});
+  std::vector<CampaignConfig> Apart =
+      profileConfigs({"llvm-O2-AArch64", "gcc-O2-ARMv7"});
+  Apart[1].Opts.SourceModel = "sc";
+  for (const std::vector<CampaignConfig> &Configs : {Single, Apart}) {
+    std::vector<CampaignUnit> Units =
+        makeCampaignUnits(Tests, uint32_t(Configs.size()), true);
+    VectorUnitSource Source(Units);
+    SourceMemoStats Stats;
+    std::vector<TelechatResult> Got =
+        runMemoised(Source, Configs, 4, Units.size(), Stats);
+    EXPECT_EQ(Stats.Keys, 0u);
+    EXPECT_EQ(Stats.Simulations, 0u);
+    EXPECT_EQ(Stats.PeakEntries, 0u);
+    std::vector<TelechatResult> Ref;
+    for (const CampaignUnit &U : Units)
+      Ref.push_back(runCampaignUnit(U, Configs));
+    expectMatchesReference(Units, Ref, Got,
+                           strFormat("%zu configs", Configs.size()));
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Source models from the wire and from journals
+//===----------------------------------------------------------------------===//
+
+TEST(SourceModelDecodeTest, HelloAckNamingAnUnknownModelIsRefused) {
+  // A server from another build names a model this worker lacks: the
+  // worker must refuse the handshake, naming the model, not abort in
+  // getModel when its first unit runs.
+  ErrorOr<TcpListener> L = TcpListener::listenOn(0, "127.0.0.1");
+  ASSERT_TRUE(L.hasValue()) << L.error();
+  std::thread Fake([&] {
+    ErrorOr<TcpSocket> S = L->accept();
+    ASSERT_TRUE(S.hasValue()) << S.error();
+    ErrorOr<Frame> Hello = recvFrame(*S);
+    ASSERT_TRUE(Hello.hasValue()) << Hello.error();
+    std::vector<CampaignConfig> Configs = pipelineConfig();
+    Configs[0].Opts.SourceModel = "bogus";
+    WireBuffer B;
+    B.appendU16(WireVersion);
+    B.appendU64(1);
+    B.appendU32(uint32_t(Configs.size()));
+    for (const CampaignConfig &C : Configs)
+      encodeCampaignConfig(B, C);
+    EXPECT_TRUE(sendFrame(*S, uint8_t(Msg::HelloAck), B));
+    // A worker that took the handshake asks for work: give it a unit,
+    // whose source simulation would look the model up.
+    ErrorOr<Frame> Ask = recvFrame(*S);
+    if (!Ask || Ask->Type != uint8_t(Msg::GetWork))
+      return;
+    WireBuffer W;
+    W.appendU32(1);
+    encodeCampaignUnit(W, CampaignUnit{0, 0, classicTest("MP")});
+    EXPECT_TRUE(sendFrame(*S, uint8_t(Msg::Work), W));
+    recvFrame(*S);
+  });
+  WorkerOptions WOpts;
+  WOpts.Jobs = 1;
+  ErrorOr<WorkerRunStats> Stats =
+      runCampaignWorker("127.0.0.1", L->port(), WOpts);
+  Fake.join();
+  ASSERT_FALSE(Stats.hasValue());
+  EXPECT_NE(Stats.error().find("unknown source model 'bogus'"),
+            std::string::npos)
+      << Stats.error();
+}
+
+TEST(SourceModelDecodeTest, JournalNamingAnUnknownModelIsRefused) {
+  // A journal written by a build with another model: --resume must
+  // refuse it, naming the model, instead of aborting mid-campaign.
+  std::string Path = tmpJournalPath("bogus_model");
+  std::vector<CampaignConfig> Configs = pipelineConfig();
+  Configs[0].Opts.SourceModel = "bogus";
+  CampaignSourceSpec Spec;
+  Spec.Units = makeCampaignUnits({classicTest("MP")});
+  {
+    JournalWriter W;
+    ASSERT_EQ(W.create(Path, Spec, Configs), "");
+  }
+  ErrorOr<JournalContents> J = readJournal(Path);
+  ASSERT_FALSE(J.hasValue());
+  EXPECT_NE(J.error().find("unknown source model 'bogus'"),
+            std::string::npos)
+      << J.error();
+  std::remove(Path.c_str());
+
+  // Every model this build knows still round-trips.
+  for (const std::string &Model : modelNames()) {
+    TestOptions O;
+    O.SourceModel = Model;
+    WireBuffer B;
+    encodeTestOptions(B, O);
+    WireCursor C(B.data(), B.size());
+    TestOptions Back;
+    EXPECT_TRUE(decodeTestOptions(C, Back)) << Model;
+    EXPECT_EQ(Back.SourceModel, Model);
+  }
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 ///   diy-gen "PodWW Rfe PodRR Fre" [--name MP] [--load acq] [--store rel]
 ///   diy-gen --classic MP+fences
 ///   diy-gen --suite c11 [--limit N]     (prints a whole test suite)
+///   diy-gen --help
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,6 +104,10 @@ int listClassics(const std::string &Lead) {
 
 int main(int argc, char **argv) {
   std::string Mode = argc > 1 ? argv[1] : "";
+  if (Mode == "--help" || Mode == "-h") {
+    usage();
+    return 0;
+  }
   if (Mode == "--classic" && argc < 3)
     return listClassics("--classic needs a name");
   GenArgs A;

@@ -49,7 +49,8 @@ namespace {
 
 /// Everything single-test mode's flags set.
 struct SingleArgs {
-  std::string Path, ProfileName = "llvm-O2-AArch64";
+  std::string Path;
+  std::vector<Profile> Profiles; ///< Exactly one.
   TestOptions Options;
   bool ShowAsm = false;
   uint64_t FuzzSeed = 0;
@@ -65,7 +66,7 @@ FlagTable singleFlags(SingleArgs &A) {
                    "apply semantics-preserving mutations"),
          cliJobs(A.Options.Sim.Jobs,
                  "simulation threads (0 = all hardware threads)")});
-  addPipelineFlags(T, A.ProfileName, A.Options);
+  addPipelineFlags(T, A.Profiles, A.Options, /*ProfileList=*/false);
   addSimFlags(T, A.Options.Sim);
   return T;
 }
@@ -85,11 +86,7 @@ int mainSingle(int argc, char **argv) {
   SingleArgs A;
   if (int Rc = singleFlags(A).parse(argc, argv, 1, usage))
     return Rc;
-  Profile P;
-  if (!profileFromName(A.ProfileName, P)) {
-    fprintf(stderr, "error: unknown profile '%s'\n", A.ProfileName.c_str());
-    return 1;
-  }
+  const Profile &P = A.Profiles[0];
   std::ifstream In(A.Path);
   if (!In) {
     fprintf(stderr, "error: cannot open %s\n", A.Path.c_str());
