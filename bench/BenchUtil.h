@@ -14,6 +14,10 @@
 #ifndef TELECHAT_BENCH_BENCHUTIL_H
 #define TELECHAT_BENCH_BENCHUTIL_H
 
+#include "sim/Enumerator.h"
+
+#include <benchmark/benchmark.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,6 +41,14 @@ inline void header(const std::string &Title) {
   printf("\n============================================================\n");
   printf("%s\n", Title.c_str());
   printf("============================================================\n");
+}
+
+/// Exports every SimStats counter into the benchmark JSON under its
+/// campaign-JSON key, so CI artifacts track the work split over time.
+inline void exportCounters(benchmark::State &State,
+                           const telechat::SimStats &S) {
+  for (const telechat::SimCounter &C : telechat::kSimCounters)
+    State.counters[C.Key] = double(S.*C.Field);
 }
 
 } // namespace telechat_bench

@@ -126,13 +126,7 @@ void BM_ShardedEnumeration_Jobs(benchmark::State &State) {
   State.counters["steps"] = double(Steps);
   State.counters["steps/s"] = benchmark::Counter(
       double(Steps) * State.iterations(), benchmark::Counter::kIsRate);
-  State.counters["rf_sources_pruned"] = double(Last.RfSourcesPruned);
-  State.counters["rf_sources_pruned_copy"] =
-      double(Last.RfSourcesPrunedCopy);
-  State.counters["rf_sources_pruned_xform"] =
-      double(Last.RfSourcesPrunedXform);
-  State.counters["rf_pruned"] = double(Last.RfPruned);
-  State.counters["cat_evals_avoided"] = double(Last.CatEvalsAvoided);
+  exportCounters(State, Last);
 }
 BENCHMARK(BM_ShardedEnumeration_Jobs)
     ->Arg(1)
@@ -183,14 +177,7 @@ void BM_EnumerationFeatures(benchmark::State &State) {
     Last = R.Stats;
     benchmark::DoNotOptimize(R.Allowed.size());
   }
-  State.counters["rf_candidates"] = double(Last.RfCandidates);
-  State.counters["rf_sources_pruned"] = double(Last.RfSourcesPruned);
-  State.counters["rf_sources_pruned_copy"] =
-      double(Last.RfSourcesPrunedCopy);
-  State.counters["rf_sources_pruned_xform"] =
-      double(Last.RfSourcesPrunedXform);
-  State.counters["rf_pruned"] = double(Last.RfPruned);
-  State.counters["cat_evals_avoided"] = double(Last.CatEvalsAvoided);
+  exportCounters(State, Last);
 }
 BENCHMARK(BM_EnumerationFeatures)
     ->Args({0, 0})
@@ -226,8 +213,7 @@ void BM_ExploreBudgetSweep(benchmark::State &State) {
   }
   State.counters["outcomes"] = double(Outcomes);
   State.counters["exhaustive"] = double(Sweep.Allowed.size());
-  State.counters["explore_iterations"] = double(Last.ExploreIterations);
-  State.counters["explore_schedules"] = double(Last.ExploreSchedules);
+  exportCounters(State, Last);
 }
 BENCHMARK(BM_ExploreBudgetSweep)
     ->Arg(1)

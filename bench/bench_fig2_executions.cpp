@@ -10,9 +10,10 @@
 //
 // The timed sections measure the enumeration hot path with the
 // rf-pruning + incremental-Cat optimisations off (arg 0) vs on (arg 1)
-// and export the work counters (rf_candidates, rf_sources_pruned,
-// rf_pruned, cat_evals_avoided) into the benchmark JSON, so CI artifacts
-// track both the speedup and the pruning effectiveness over time.
+// and export every SimStats work counter (rf_candidates,
+// rf_sources_pruned, rf_pruned, cat_evals_avoided, ...) into the
+// benchmark JSON, so CI artifacts track both the speedup and the
+// pruning effectiveness over time.
 //
 //===----------------------------------------------------------------------===//
 
@@ -71,16 +72,6 @@ SimOptions featureOptions(bool Enabled) {
   Opts.RfValuePruning = Enabled;
   Opts.IncrementalCatEval = Enabled;
   return Opts;
-}
-
-void exportCounters(benchmark::State &State, const SimStats &S) {
-  State.counters["rf_candidates"] = double(S.RfCandidates);
-  State.counters["rf_sources_pruned"] = double(S.RfSourcesPruned);
-  State.counters["rf_sources_pruned_copy"] = double(S.RfSourcesPrunedCopy);
-  State.counters["rf_sources_pruned_xform"] =
-      double(S.RfSourcesPrunedXform);
-  State.counters["rf_pruned"] = double(S.RfPruned);
-  State.counters["cat_evals_avoided"] = double(S.CatEvalsAvoided);
 }
 
 /// Fig. 1 under RC11: branch-free, so the delta between arg 0 and arg 1
@@ -235,10 +226,6 @@ void BM_BackendCrossover(benchmark::State &State) {
   exportCounters(State, Last);
   State.counters["est_rf_space"] = double(estimatedRfSpace(P));
   State.counters["timed_out"] = TimedOut ? 1.0 : 0.0;
-  State.counters["solve_decisions"] = double(Last.SolveDecisions);
-  State.counters["solve_propagations"] = double(Last.SolvePropagations);
-  State.counters["solve_conflicts"] = double(Last.SolveConflicts);
-  State.counters["solve_clauses"] = double(Last.SolveClauses);
 }
 BENCHMARK(BM_BackendCrossover)
     ->Args({8, 0})

@@ -388,45 +388,15 @@ bool telechat::decodeCampaignUnit(WireCursor &C, CampaignUnit &U) {
 }
 
 void telechat::encodeSimStats(WireBuffer &B, const SimStats &S) {
-  B.appendU64(S.PathCombos);
-  B.appendU64(S.RfCandidates);
-  B.appendU64(S.ValueConsistent);
-  B.appendU64(S.CoCandidates);
-  B.appendU64(S.AllowedExecutions);
-  B.appendU64(S.RfSourcesPruned);
-  B.appendU64(S.RfSourcesPrunedCopy);
-  B.appendU64(S.RfSourcesPrunedXform);
-  B.appendU64(S.RfPruned);
-  B.appendU64(S.CatEvalsAvoided);
-  B.appendU64(S.SolveDecisions);
-  B.appendU64(S.SolvePropagations);
-  B.appendU64(S.SolveConflicts);
-  B.appendU64(S.SolveClauses);
-  B.appendU64(S.ExploreIterations);
-  B.appendU64(S.ExploreSchedules);
-  B.appendU64(S.ExploreOutcomesFound);
+  for (const SimCounter &C : kSimCounters)
+    B.appendU64(S.*C.Field);
   B.appendU8(S.BackendUsed);
   B.appendF64(S.Seconds);
 }
 
 bool telechat::decodeSimStats(WireCursor &C, SimStats &S) {
-  S.PathCombos = C.readU64();
-  S.RfCandidates = C.readU64();
-  S.ValueConsistent = C.readU64();
-  S.CoCandidates = C.readU64();
-  S.AllowedExecutions = C.readU64();
-  S.RfSourcesPruned = C.readU64();
-  S.RfSourcesPrunedCopy = C.readU64();
-  S.RfSourcesPrunedXform = C.readU64();
-  S.RfPruned = C.readU64();
-  S.CatEvalsAvoided = C.readU64();
-  S.SolveDecisions = C.readU64();
-  S.SolvePropagations = C.readU64();
-  S.SolveConflicts = C.readU64();
-  S.SolveClauses = C.readU64();
-  S.ExploreIterations = C.readU64();
-  S.ExploreSchedules = C.readU64();
-  S.ExploreOutcomesFound = C.readU64();
+  for (const SimCounter &Counter : kSimCounters)
+    S.*Counter.Field = C.readU64();
   // Any byte is accepted: BackendUsed is descriptive, not dispatched
   // on, and a blob from a newer peer must not be rejected for having
   // run an engine this build does not know. backendUsedName() renders

@@ -6,13 +6,15 @@
 ///
 /// \file
 /// The backend seam: simulate() is the one entry point that runs a
-/// SimProgram under a Cat model, dispatching on SimOptions::Backend to
-/// a SimBackend implementation -- the explicit sweep (Enumerator.cpp),
-/// the constraint solver (solve/Solver.h), or the dynamic exploration
-/// oracle (explore/Explorer.h). Sweep and solve produce byte-identical
-/// outcomes, flags and collected executions on completed runs (the
-/// backend only changes how the candidate space is covered); explore
-/// reports a sound *subset* of that set within its iteration budget.
+/// SimProgram under a Cat model, switching on the resolved
+/// SimOptions::Backend to one of three engines -- the explicit sweep
+/// (Enumerator.cpp), the constraint solver (solve/Solver.h), or the
+/// dynamic exploration oracle (explore/Explorer.h). All three are one
+/// combo driver (sim/EnumCore.h) over different per-combo searches.
+/// Sweep and solve produce byte-identical outcomes, flags and
+/// collected executions on completed runs (the backend only changes how
+/// the candidate space is covered); explore reports a sound *subset* of
+/// that set within its iteration budget.
 /// Callers pick by cost profile, or pass Auto and let the estimated
 /// rf-space size decide (Auto never picks explore: an unsound-by-
 /// omission oracle is an explicit opt-in, per flag or per
@@ -33,26 +35,6 @@
 
 namespace telechat {
 
-/// One consistency engine. Implementations are stateless singletons;
-/// all per-run state lives inside run().
-class SimBackend {
-public:
-  virtual ~SimBackend() = default;
-  /// Stable lowercase identifier ("sweep", "solve") used by the CLI
-  /// flag, stats lines and campaign JSON.
-  virtual const char *name() const = 0;
-  virtual SimResult run(const SimProgram &Program, const CatModel &Model,
-                        const SimOptions &Options) const = 0;
-};
-
-/// The explicit-enumeration backend (wraps enumerateExecutions).
-const SimBackend &sweepBackend();
-/// The constraint-solver backend (wraps solve/Solver.h).
-const SimBackend &solveBackend();
-/// The dynamic exploration oracle (wraps explore/Explorer.h). Sound
-/// subset semantics: see SimBackendKind::Explore.
-const SimBackend &exploreBackend();
-
 /// Upper bound on the enumerated space (path combos x rf assignments),
 /// saturating at UINT64_MAX: combos times (writes upper bound raised
 /// to the reads upper bound), with per-thread op counts maximised over
@@ -66,10 +48,10 @@ uint64_t estimatedRfSpace(const SimProgram &Program);
 constexpr uint64_t kAutoSolveThreshold = uint64_t(1) << 20;
 
 /// Resolves a backend selection against a program: Sweep, Solve and
-/// Explore map to their engines, Auto by estimatedRfSpace vs
-/// kAutoSolveThreshold (never to explore; see the file comment).
-const SimBackend &resolveBackend(SimBackendKind Kind,
-                                 const SimProgram &Program);
+/// Explore name themselves, Auto resolves by estimatedRfSpace vs
+/// kAutoSolveThreshold to Sweep or Solve (never to Explore; see the
+/// file comment).
+SimBackendKind resolveBackend(SimBackendKind Kind, const SimProgram &Program);
 
 /// Parses a --backend value ("sweep" | "solve" | "auto" | "explore");
 /// false and \p Out untouched on anything else.

@@ -5,30 +5,33 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The machinery both consistency backends share, factored out of the
-/// sweep enumerator so the constraint solver (src/solve/) is an
-/// alternative *driver* over the same per-combo engine rather than a
-/// second implementation of the semantics:
+/// The machinery every consistency engine shares, factored out of the
+/// sweep enumerator so the constraint solver (src/solve/) and the
+/// explore oracle (src/explore/) are alternative *searches* over the
+/// same per-combo engine rather than second implementations of the
+/// semantics:
 ///
-///  - ComboWorker owns everything below the backend's search strategy:
+///  - ComboWorker owns everything below an engine's search strategy:
 ///    skeleton construction, rf candidate lists, the abstract value
 ///    pass and its prune checks, the value-resolution fixpoint,
 ///    coherence enumeration and Cat filtering, stats and collection.
-///    The sweep iterates its rf index space (processShard/runRfRange);
-///    the solver drives a decision tree over the same candidate lists
-///    and calls runAssignment() per surviving leaf. Because both visit
-///    complete assignments in mixed-radix odometer order, completed
-///    runs are byte-identical across backends.
+///    The sweep (SweepWorker) iterates its rf index space; the solver
+///    drives a decision tree over the same candidate lists and the
+///    explorer runs schedules, both calling runAssignment() per
+///    complete assignment they reach. Sweep and solve visit complete
+///    assignments in mixed-radix odometer order, so completed runs are
+///    byte-identical across them.
 ///
-///  - SharedState is the run-wide atomic step budget and stop flags;
-///    WorkerResult / mergeResults reassemble per-shard results in
-///    enumeration order (the solver treats each path combo as one
-///    shard).
+///  - driveCombos is the one driver all three run through: the shared
+///    budget, the combo count, the sequential loop, the parallel shard
+///    waves, the merge and the stamps. SharedState is the run-wide
+///    atomic step budget and stop flags; WorkerResult / mergeResults
+///    reassemble per-shard results in enumeration order.
 ///
-/// This header is an internal seam between src/sim/ and src/solve/,
-/// not public API: everything is deliberately open (public members) and
-/// may change shape between the backends' needs. External callers use
-/// sim/Backend.h.
+/// This header is an internal seam between src/sim/, src/solve/ and
+/// src/explore/, not public API: everything is deliberately open
+/// (public members) and may change shape between the engines' needs.
+/// External callers use sim/Backend.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,8 +40,11 @@
 
 #include "sim/AbsDomain.h"
 #include "sim/Enumerator.h"
+#include "sim/ShardScheduler.h"
 #include "support/Interner.h"
+#include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -186,16 +192,16 @@ struct WorkerResult {
 };
 
 /// A worker: owns all per-combo scratch state plus the candidate test
-/// pipeline (fixpoint, co, Cat). The sweep backend drives it by shard
-/// (processShard); the solve backend prepares combos itself and calls
-/// runAssignment() per complete rf assignment. The last-prepared combo
-/// skeleton is cached, so a worker draining its contiguous shard range
-/// re-prepares only on combo boundaries.
+/// pipeline (fixpoint, co, Cat). Each engine derives its worker from it
+/// and adds the search; driveCombos hands the worker shards through
+/// processShard(). The sweep's last-prepared combo skeleton is cached,
+/// so a worker draining its contiguous shard range re-prepares only on
+/// combo boundaries.
 class ComboWorker {
 public:
-  /// RfChoice slot value for "this read is not assigned yet". Only the
-  /// solve backend produces partial assignments; the sweep always runs
-  /// with every slot filled.
+  /// RfChoice slot value for "this read is not assigned yet". The sweep
+  /// always runs with every slot filled; solve and explore fill slots
+  /// as their search assigns reads.
   static constexpr size_t kNoChoice = ~size_t(0);
 
   /// The rf-chain support of one resolved check evaluation: the
@@ -217,15 +223,19 @@ public:
     return Eval.stats().BindingEvalsAvoided + Eval.stats().CheckEvalsAvoided;
   }
 
-  /// Sweep driver: processes one shard of the rf index space.
-  void processShard(const Shard &S);
-
   /// Builds the event skeleton and rf candidates for one path combo and
   /// returns the size of its rf index space (saturating, after
   /// constraint-based filtering). Used by shard processing, by the
-  /// sweep driver's splitting pre-pass, and by the solve backend's
-  /// per-combo setup; all must agree on the space.
+  /// driver's rf-splitting pre-pass, and by beginCombo; all must agree
+  /// on the space.
   uint64_t prepareCombo(uint64_t Combo);
+
+  /// The prologue of an engine that searches a combo whole (solve,
+  /// explore): prepares combo \p Combo as shard \p Index, binds its Cat
+  /// layer, accounts it, and clears RfChoice to all-unassigned. False
+  /// when the run is stopping or the combo's rf space is empty, i.e.
+  /// there is nothing to search.
+  bool beginCombo(uint64_t Combo, size_t Index);
 
   /// Folds the prepared combo's space-reduction accounting into the
   /// stats. Call exactly once per combo (the sweep: from the shard at
@@ -248,8 +258,8 @@ public:
   /// Tests the complete rf assignment in RfChoice: value-resolution
   /// fixpoint, then coherence enumeration and Cat filtering of the
   /// consistent candidate. One sweep inner-loop iteration without the
-  /// budget draw and pre-fixpoint prune (the solve backend has already
-  /// charged its decision and propagated its constraints).
+  /// budget draw and pre-fixpoint prune (solve and explore have already
+  /// charged their step and checked their constraints).
   void runAssignment();
 
   /// O(events) rejection of the current rf assignment: true when
@@ -362,11 +372,6 @@ public:
   /// Sweep-path shorthand: violatedCheck without support collection.
   bool prunedByConstraints() const { return violatedCheck(nullptr); }
 
-  /// Iterates rf assignments [Lo, Hi) of the prepared combo. The rf index
-  /// space is mixed-radix with RfChoice[0] least significant, matching
-  /// the sequential odometer order.
-  void runRfRange(uint64_t Lo, uint64_t Hi);
-
   SimPath resolveStaticAddresses(const SimPath &In) const;
   /// Interns a location name; returns its index.
   unsigned internLoc(const std::string &Name);
@@ -408,11 +413,118 @@ public:
   void collectExecution(const Execution &Ex);
 };
 
-/// Merges per-worker results in shard order into one SimResult. Takes
-/// non-owning pointers so each backend driver can hold its workers in
-/// whatever structure wraps its own per-worker search state.
+/// The sweep's worker: walks ranges of the rf index space. The only
+/// engine whose index space can be cut, so the only one that lets
+/// several workers split one combo.
+class SweepWorker : public ComboWorker {
+public:
+  using ComboWorker::ComboWorker;
+  static constexpr bool SplitsRfSpace = true;
+
+  /// Processes one shard of the rf index space.
+  void processShard(const Shard &S);
+
+private:
+  /// Iterates rf assignments [Lo, Hi) of the prepared combo. The rf index
+  /// space is mixed-radix with RfChoice[0] least significant, matching
+  /// the sequential odometer order.
+  void runRfRange(uint64_t Lo, uint64_t Hi);
+};
+
+/// Merges per-worker results in shard order into one SimResult.
 SimResult mergeResults(const std::vector<ComboWorker *> &Workers,
                        const SharedState &Shared, const SimOptions &Opts);
+
+/// The one combo driver: runs \p Program under \p Model with one
+/// Worker per job and stamps the result as engine \p Used. Worker
+/// derives from ComboWorker, provides processShard(const Shard &) and
+/// says by SplitsRfSpace whether one combo's rf space may be split
+/// across shards. Otherwise every shard is one whole combo, with Index
+/// equal to the combo.
+template <typename Worker>
+SimResult driveCombos(const SimProgram &Program, const CatModel &Model,
+                      const SimOptions &Options, SimBackendKind Used) {
+  SharedState Shared;
+  Shared.MaxSteps = Options.MaxSteps;
+  Shared.TimeoutSeconds = Options.TimeoutSeconds;
+  Shared.Start = std::chrono::steady_clock::now();
+
+  // Path combos form a mixed-radix space over per-thread path counts
+  // (index 0 least significant, matching the sequential odometer). The
+  // empty product (no threads) is one combo: the init-only execution.
+  uint64_t ComboCount = 1;
+  for (const SimThread &T : Program.Threads)
+    ComboCount = satMul(ComboCount, T.Paths.size());
+  auto WholeCombo = [](uint64_t C) {
+    return Shard{C, 0, kFullRange, size_t(C)};
+  };
+
+  unsigned Jobs = resolveJobs(Options.Jobs);
+  std::vector<std::unique_ptr<Worker>> Workers;
+  for (unsigned J = 0; J != Jobs; ++J)
+    Workers.push_back(
+        std::make_unique<Worker>(Program, Model, Options, Shared));
+
+  if (Jobs <= 1) {
+    // Sequential: one worker walks every combo in order; shards are never
+    // materialised. Identical code path, zero threading overhead.
+    Worker &W = *Workers.front();
+    for (uint64_t C = 0; C != ComboCount && !W.shouldStop(); ++C)
+      W.processShard(WholeCombo(C));
+  } else if (Worker::SplitsRfSpace && ComboCount < uint64_t(Jobs) * 4) {
+    // Few combos: split each combo's rf space into chunks so all
+    // workers share even a single-combo test (the common litmus case,
+    // and the paper's §IV-E explosion case). Workers then share combos,
+    // the only case where publishing per-combo Cat layers saves work.
+    Shared.ShareLayerCache = true;
+    // Splitting pre-pass scratch (prepares skeletons to size rf spaces).
+    ComboWorker Scratch(Program, Model, Options, Shared);
+    std::vector<Shard> Shards;
+    for (uint64_t C = 0; C != ComboCount; ++C) {
+      uint64_t Space = Scratch.prepareCombo(C);
+      uint64_t MaxChunks = uint64_t(Jobs) * 8;
+      uint64_t Chunk = std::max<uint64_t>(
+          16, Space / MaxChunks + (Space % MaxChunks ? 1 : 0));
+      uint64_t Lo = 0;
+      do {
+        // An empty space still gets its one (empty) shard: the one
+        // that owns the combo's PathCombos count.
+        uint64_t Hi = Space - Lo <= Chunk ? Space : Lo + Chunk;
+        Shards.push_back(Shard{C, Lo, Hi, Shards.size()});
+        Lo = Hi;
+      } while (Lo < Space);
+    }
+    ShardScheduler::run(
+        Shards.size(), Jobs,
+        [&](unsigned W, size_t I) { Workers[W]->processShard(Shards[I]); },
+        [&] { return Shared.stopped(); });
+  } else {
+    // Whole-combo shards run in waves, so combo-heavy programs (many
+    // branches) never materialise an unbounded shard vector.
+    constexpr uint64_t kWaveCombos = 1 << 18;
+    for (uint64_t Next = 0; Next < ComboCount && !Shared.stopped();) {
+      uint64_t End =
+          Next + std::min<uint64_t>(kWaveCombos, ComboCount - Next);
+      ShardScheduler::run(
+          size_t(End - Next), Jobs,
+          [&](unsigned W, size_t I) {
+            Workers[W]->processShard(WholeCombo(Next + I));
+          },
+          [&] { return Shared.stopped(); });
+      Next = End;
+    }
+  }
+
+  std::vector<ComboWorker *> Merged;
+  for (std::unique_ptr<Worker> &W : Workers)
+    Merged.push_back(W.get());
+  SimResult Result = mergeResults(Merged, Shared, Options);
+  Result.Stats.BackendUsed = uint8_t(Used);
+  Result.Stats.Seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - Shared.Start)
+                             .count();
+  return Result;
+}
 
 } // namespace simcore
 } // namespace telechat

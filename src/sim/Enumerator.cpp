@@ -48,20 +48,19 @@
 ///    groups and the outcome build work on vectors and bitsets, not on
 ///    string-keyed maps, and the candidate loop does not allocate.
 ///
-/// The per-combo machinery (ComboWorker and friends) lives in
-/// sim/EnumCore.h so the constraint-solver backend (src/solve/) can
-/// drive the same engine with a different search strategy; this file
-/// defines the methods plus the sweep driver, enumerateExecutions.
+/// The per-combo machinery (ComboWorker and friends) and the combo
+/// driver live in sim/EnumCore.h so the solve and explore engines run
+/// the same machinery with a different search strategy; this file
+/// defines the methods, the sweep's worker and the shard merge.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "sim/EnumCore.h"
 
-#include "sim/ShardScheduler.h"
 #include "support/StringUtils.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <cassert>
 
 using namespace telechat;
 using namespace telechat::simcore;
@@ -118,7 +117,7 @@ unsigned ComboWorker::locAt(const std::string &Sym, int64_t Off) {
   return Idx;
 }
 
-void ComboWorker::processShard(const Shard &S) {
+void SweepWorker::processShard(const Shard &S) {
   if (shouldStop())
     return;
   CurShardIdx = S.Index;
@@ -136,6 +135,20 @@ void ComboWorker::processShard(const Shard &S) {
   if (S.RfLo < Hi)
     runRfRange(S.RfLo, Hi);
   publishLayer();
+}
+
+bool ComboWorker::beginCombo(uint64_t Combo, size_t Index) {
+  if (shouldStop())
+    return false;
+  CurShardIdx = Index;
+  prepareCombo(Combo);
+  CurCombo = Combo;
+  bindComboEvaluator(Combo);
+  accountCombo();
+  if (RfSpace == 0)
+    return false; // Infeasible or empty-domain combo: nothing to search.
+  RfChoice.assign(Reads.size(), kNoChoice);
+  return true;
 }
 
 void ComboWorker::accountCombo() {
@@ -480,7 +493,7 @@ void ComboWorker::publishLayer() {
   LayerPublished = true;
 }
 
-void ComboWorker::runRfRange(uint64_t Lo, uint64_t Hi) {
+void SweepWorker::runRfRange(uint64_t Lo, uint64_t Hi) {
   RfChoice.assign(Reads.size(), 0);
   uint64_t Tmp = Lo;
   for (size_t I = 0; I != RfChoice.size() && Tmp != 0; ++I) {
@@ -1287,22 +1300,13 @@ telechat::simcore::mergeResults(const std::vector<ComboWorker *> &Workers,
     R.Allowed.insert(WRes.Allowed.begin(), WRes.Allowed.end());
     for (Symbol F : WRes.Flags)
       R.Flags.insert(F.str());
-    R.Stats.PathCombos += WRes.Stats.PathCombos;
-    R.Stats.RfCandidates += WRes.Stats.RfCandidates;
-    R.Stats.ValueConsistent += WRes.Stats.ValueConsistent;
-    R.Stats.CoCandidates += WRes.Stats.CoCandidates;
-    R.Stats.AllowedExecutions += WRes.Stats.AllowedExecutions;
-    R.Stats.RfSourcesPruned += WRes.Stats.RfSourcesPruned;
-    R.Stats.RfSourcesPrunedCopy += WRes.Stats.RfSourcesPrunedCopy;
-    R.Stats.RfSourcesPrunedXform += WRes.Stats.RfSourcesPrunedXform;
-    R.Stats.RfPruned += WRes.Stats.RfPruned;
+    // Both come from outside the workers' stats: the evaluator's own
+    // count, and the post-merge stamp of exploreExecutions.
+    assert(WRes.Stats.CatEvalsAvoided == 0 &&
+           WRes.Stats.ExploreOutcomesFound == 0);
+    for (const SimCounter &C : kSimCounters)
+      R.Stats.*C.Field += WRes.Stats.*C.Field;
     R.Stats.CatEvalsAvoided += W->catEvalsAvoided();
-    R.Stats.SolveDecisions += WRes.Stats.SolveDecisions;
-    R.Stats.SolvePropagations += WRes.Stats.SolvePropagations;
-    R.Stats.SolveConflicts += WRes.Stats.SolveConflicts;
-    R.Stats.SolveClauses += WRes.Stats.SolveClauses;
-    R.Stats.ExploreIterations += WRes.Stats.ExploreIterations;
-    R.Stats.ExploreSchedules += WRes.Stats.ExploreSchedules;
     if (!WRes.Error.empty() && WRes.ErrorShard < ErrorShard) {
       ErrorShard = WRes.ErrorShard;
       R.Error = WRes.Error;
@@ -1324,108 +1328,8 @@ telechat::simcore::mergeResults(const std::vector<ComboWorker *> &Workers,
 SimResult telechat::enumerateExecutions(const SimProgram &Program,
                                         const CatModel &Model,
                                         const SimOptions &Options) {
-  SharedState Shared;
-  Shared.MaxSteps = Options.MaxSteps;
-  Shared.TimeoutSeconds = Options.TimeoutSeconds;
-  Shared.Start = std::chrono::steady_clock::now();
-
-  // Path combos form a mixed-radix space over per-thread path counts
-  // (index 0 least significant, matching the sequential odometer). The
-  // empty product (no threads) is one combo: the init-only execution.
-  uint64_t ComboCount = 1;
-  for (const SimThread &T : Program.Threads)
-    ComboCount = satMul(ComboCount, T.Paths.size());
-
-  unsigned Jobs = resolveJobs(Options.Jobs);
-  std::vector<std::unique_ptr<ComboWorker>> Workers;
-
-  if (Jobs <= 1) {
-    // Sequential: one worker walks every combo in order; shards are never
-    // materialised. Identical code path, zero threading overhead.
-    Workers.push_back(
-        std::make_unique<ComboWorker>(Program, Model, Options, Shared));
-    ComboWorker &W = *Workers.front();
-    for (uint64_t C = 0; C != ComboCount && !W.shouldStop(); ++C) {
-      Shard S;
-      S.Combo = C;
-      S.Index = size_t(C);
-      W.processShard(S);
-    }
-  } else {
-    for (unsigned J = 0; J != Jobs; ++J)
-      Workers.push_back(
-          std::make_unique<ComboWorker>(Program, Model, Options, Shared));
-
-    // Shards are built in waves so combo-heavy programs (many branches)
-    // never materialise an unbounded shard vector; each wave runs on the
-    // work-stealing scheduler.
-    constexpr uint64_t kWaveCombos = 1 << 18;
-    // Splitting pre-pass scratch (prepares skeletons to size rf spaces).
-    ComboWorker Scratch(Program, Model, Options, Shared);
-
-    // Several workers share single combos only in the rf-splitting
-    // regime below; that is the only case where publishing per-combo
-    // Cat layers can save duplicate work.
-    Shared.ShareLayerCache = ComboCount < uint64_t(Jobs) * 4;
-
-    uint64_t NextCombo = 0;
-    size_t NextIndex = 0;
-    while (NextCombo < ComboCount && !Shared.stopped()) {
-      std::vector<Shard> Wave;
-      if (ComboCount < uint64_t(Jobs) * 4) {
-        // Few combos: split each combo's rf space into chunks so all
-        // workers share even a single-combo test (the common litmus
-        // case, and the paper's §IV-E explosion case).
-        for (uint64_t C = NextCombo; C != ComboCount; ++C) {
-          uint64_t Space = Scratch.prepareCombo(C);
-          uint64_t MaxChunks = uint64_t(Jobs) * 8;
-          uint64_t Chunk =
-              std::max<uint64_t>(16, Space / MaxChunks + (Space % MaxChunks
-                                                              ? 1
-                                                              : 0));
-          uint64_t Lo = 0;
-          do {
-            Shard S;
-            S.Combo = C;
-            S.RfLo = Lo;
-            S.RfHi = (Space - Lo <= Chunk) ? Space : Lo + Chunk;
-            if (Space == 0)
-              S.RfHi = 0; // Keep the PathCombos-owning shard.
-            S.Index = NextIndex++;
-            Wave.push_back(S);
-            Lo = S.RfHi;
-          } while (Lo < Space);
-        }
-        NextCombo = ComboCount;
-      } else {
-        uint64_t End = NextCombo + std::min<uint64_t>(
-                                       kWaveCombos, ComboCount - NextCombo);
-        for (uint64_t C = NextCombo; C != End; ++C) {
-          Shard S;
-          S.Combo = C;
-          S.Index = NextIndex++;
-          Wave.push_back(S);
-        }
-        NextCombo = End;
-      }
-
-      ShardScheduler::run(
-          Wave.size(), Jobs,
-          [&](unsigned W, size_t I) { Workers[W]->processShard(Wave[I]); },
-          [&] { return Shared.stopped(); });
-    }
-  }
-
-  std::vector<ComboWorker *> Merged;
-  Merged.reserve(Workers.size());
-  for (std::unique_ptr<ComboWorker> &W : Workers)
-    Merged.push_back(W.get());
-  SimResult Result = mergeResults(Merged, Shared, Options);
-  Result.Stats.BackendUsed = uint8_t(SimBackendKind::Sweep);
-  auto End = std::chrono::steady_clock::now();
-  Result.Stats.Seconds =
-      std::chrono::duration<double>(End - Shared.Start).count();
-  return Result;
+  return driveCombos<SweepWorker>(Program, Model, Options,
+                                  SimBackendKind::Sweep);
 }
 
 bool telechat::finalConditionHolds(const SimProgram &Program,

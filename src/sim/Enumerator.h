@@ -35,7 +35,9 @@
 #include "litmus/Outcome.h"
 #include "sim/Program.h"
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <set>
 
 namespace telechat {
@@ -223,6 +225,41 @@ struct SimStats {
   uint8_t BackendUsed = 0;
   double Seconds = 0.0;
 };
+
+/// One SimStats counter: its field and the key naming it in campaign
+/// JSON and bench counters.
+struct SimCounter {
+  uint64_t SimStats::*Field;
+  const char *Key;
+};
+
+/// Every SimStats counter, in wire order. The one list that the shard
+/// merge, the wire codec (dist/Serialize.cpp), the campaign JSON and
+/// the bench exporters walk; reordering it changes the wire format.
+inline constexpr SimCounter kSimCounters[] = {
+    {&SimStats::PathCombos, "path_combos"},
+    {&SimStats::RfCandidates, "rf_candidates"},
+    {&SimStats::ValueConsistent, "value_consistent"},
+    {&SimStats::CoCandidates, "co_candidates"},
+    {&SimStats::AllowedExecutions, "allowed_executions"},
+    {&SimStats::RfSourcesPruned, "rf_sources_pruned"},
+    {&SimStats::RfSourcesPrunedCopy, "rf_sources_pruned_copy"},
+    {&SimStats::RfSourcesPrunedXform, "rf_sources_pruned_xform"},
+    {&SimStats::RfPruned, "rf_pruned"},
+    {&SimStats::CatEvalsAvoided, "cat_evals_avoided"},
+    {&SimStats::SolveDecisions, "solve_decisions"},
+    {&SimStats::SolvePropagations, "solve_propagations"},
+    {&SimStats::SolveConflicts, "solve_conflicts"},
+    {&SimStats::SolveClauses, "solve_clauses"},
+    {&SimStats::ExploreIterations, "explore_iterations"},
+    {&SimStats::ExploreSchedules, "explore_schedules"},
+    {&SimStats::ExploreOutcomesFound, "explore_outcomes_found"},
+};
+// The counters are the uint64_t fields before BackendUsed: a counter
+// added to SimStats but not to the table trips this.
+static_assert(offsetof(SimStats, BackendUsed) ==
+                  std::size(kSimCounters) * sizeof(uint64_t),
+              "every SimStats counter needs a kSimCounters entry");
 
 /// The result of simulating a program under a model.
 struct SimResult {

@@ -42,11 +42,7 @@
 #include "solve/Solver.h"
 
 #include "sim/EnumCore.h"
-#include "sim/ShardScheduler.h"
 #include "solve/Clauses.h"
-#include "support/ThreadPool.h"
-
-#include <algorithm>
 
 using namespace telechat;
 using namespace telechat::simcore;
@@ -58,47 +54,39 @@ namespace {
 /// state. The database is re-initialised per combo; nothing is shared
 /// across combos, which keeps per-combo decision counts deterministic
 /// for any Jobs value.
-class SolveWorker {
+class SolveWorker : public ComboWorker {
 public:
-  SolveWorker(const SimProgram &Program, const CatModel &Model,
-              const SimOptions &Options, SharedState &Shared)
-      : W(Program, Model, Options, Shared) {}
+  using ComboWorker::ComboWorker;
+  /// A decision tree is not splittable mid-search, so single-combo
+  /// tests run sequentially even under -j (the solver's parallelism is
+  /// across combos and across campaign units).
+  static constexpr bool SplitsRfSpace = false;
 
-  ComboWorker W;
-
-  void processCombo(uint64_t Combo, size_t Index) {
-    if (W.shouldStop())
+  void processShard(const Shard &S) {
+    if (!beginCombo(S.Combo, S.Index))
       return;
-    W.CurShardIdx = Index;
-    W.prepareCombo(Combo);
-    W.CurCombo = Combo;
-    W.bindComboEvaluator(Combo);
-    W.accountCombo();
-    if (W.RfSpace == 0)
-      return; // Infeasible or empty-domain combo: nothing to search.
-    size_t NR = W.Reads.size();
-    W.RfChoice.assign(NR, ComboWorker::kNoChoice);
+    size_t NR = Reads.size();
     if (NR == 0) {
       // The one-assignment combo; mirrors the sweep's single step.
-      if (!W.budget())
+      if (!budget())
         return;
-      if (!W.violatedCheck(nullptr))
-        W.runAssignment();
+      if (!violatedCheck(nullptr))
+        runAssignment();
       return;
     }
     std::vector<unsigned> Sizes(NR);
     for (size_t RI = 0; RI != NR; ++RI)
-      Sizes[RI] = unsigned(W.RfCand[RI].size());
+      Sizes[RI] = unsigned(RfCand[RI].size());
     DB.init(Sizes);
     bool Feasible = true;
-    if (W.Opts.RfValuePruning)
+    if (Opts.RfValuePruning)
       Feasible = compilePairNogoods();
     if (Feasible)
       search();
     else
-      ++W.WR.Stats.SolveConflicts; // Combo refuted at compile time.
-    W.WR.Stats.SolveClauses += DB.added();
-    W.WR.Stats.SolvePropagations += DB.propagations();
+      ++WR.Stats.SolveConflicts; // Combo refuted at compile time.
+    WR.Stats.SolveClauses += DB.added();
+    WR.Stats.SolvePropagations += DB.propagations();
   }
 
 private:
@@ -121,8 +109,8 @@ private:
   /// dead in one quadratic compile over two rf candidate lists.
   bool compilePairNogoods() {
     constexpr size_t kMaxPairProduct = 4096;
-    for (size_t CI = 0; CI != W.PruneChecks.size(); ++CI) {
-      const PruneCheck &PC = W.PruneChecks[CI];
+    for (size_t CI = 0; CI != PruneChecks.size(); ++CI) {
+      const PruneCheck &PC = PruneChecks[CI];
       unsigned R1 = ~0u, R2 = ~0u;
       bool MoreRoots = false;
       for (const auto &[Reg, A] : PC.Regs) {
@@ -139,33 +127,33 @@ private:
       }
       if (MoreRoots || R2 == ~0u)
         continue; // Single-root checks were already rf-list-filtered.
-      const EvInfo &E1 = W.Events[R1], &E2 = W.Events[R2];
+      const EvInfo &E1 = Events[R1], &E2 = Events[R2];
       if (!E1.Op->Addr.isStatic() || !E2.Op->Addr.isStatic())
         continue;
-      unsigned RI1 = W.ReadIndexOf[R1], RI2 = W.ReadIndexOf[R2];
-      const std::vector<unsigned> &Cand1 = W.RfCand[RI1];
-      const std::vector<unsigned> &Cand2 = W.RfCand[RI2];
+      unsigned RI1 = ReadIndexOf[R1], RI2 = ReadIndexOf[R2];
+      const std::vector<unsigned> &Cand1 = RfCand[RI1];
+      const std::vector<unsigned> &Cand2 = RfCand[RI2];
       if (Cand1.size() * Cand2.size() > kMaxPairProduct)
         continue;
       std::vector<std::pair<unsigned, unsigned>> Violated;
       for (unsigned C1 = 0; C1 != Cand1.size(); ++C1) {
-        const AbsVal &A1 = W.EvAbs[Cand1[C1]];
+        const AbsVal &A1 = EvAbs[Cand1[C1]];
         if (A1.K != AbsVal::Kind::Known)
           continue;
-        SimVal V1 = W.truncAt(E1.Loc, A1.V);
+        SimVal V1 = truncAt(E1.Loc, A1.V);
         for (unsigned C2 = 0; C2 != Cand2.size(); ++C2) {
-          const AbsVal &A2 = W.EvAbs[Cand2[C2]];
+          const AbsVal &A2 = EvAbs[Cand2[C2]];
           if (A2.K != AbsVal::Kind::Known)
             continue;
-          SimVal V2 = W.truncAt(E2.Loc, A2.V);
-          W.CheckRegs.resize(PC.Regs.size());
+          SimVal V2 = truncAt(E2.Loc, A2.V);
+          CheckRegs.resize(PC.Regs.size());
           for (size_t K = 0; K != PC.Regs.size(); ++K) {
             const AbsVal &A = PC.Regs[K].second;
-            W.CheckRegs[K] = A.K == AbsVal::Kind::Known
-                                 ? A.V
-                                 : A.apply(A.ReadEv == R1 ? V1 : V2);
+            CheckRegs[K] = A.K == AbsVal::Kind::Known
+                               ? A.V
+                               : A.apply(A.ReadEv == R1 ? V1 : V2);
           }
-          if (!W.checkSatisfied(CI))
+          if (!checkSatisfied(CI))
             Violated.emplace_back(C1, C2);
         }
       }
@@ -184,15 +172,15 @@ private:
   /// checks on the partial assignment, learning the violated check's
   /// support as a nogood before abandoning the subtree.
   void search() {
-    const size_t NR = W.Reads.size();
+    const size_t NR = Reads.size();
     std::vector<unsigned> CandPos(NR, 0);
     size_t Depth = 0;
-    ComboWorker::SupportVec Support;
+    SupportVec Support;
     while (true) {
-      if (W.shouldStop())
+      if (shouldStop())
         return;
       unsigned Var = unsigned(NR - 1 - Depth);
-      const unsigned NC = unsigned(W.RfCand[Var].size());
+      const unsigned NC = unsigned(RfCand[Var].size());
       unsigned C = CandPos[Depth];
       while (C < NC && !DB.candActive(Var, C))
         ++C;
@@ -202,17 +190,17 @@ private:
           return; // Root exhausted: combo done.
         --Depth;
         DB.popLevel();
-        W.RfChoice[NR - 1 - Depth] = ComboWorker::kNoChoice;
+        RfChoice[NR - 1 - Depth] = kNoChoice;
         ++CandPos[Depth];
         continue;
       }
-      if (!W.budget())
+      if (!budget())
         return;
-      ++W.WR.Stats.SolveDecisions;
+      ++WR.Stats.SolveDecisions;
       DB.pushLevel();
-      W.RfChoice[Var] = C;
+      RfChoice[Var] = C;
       bool Ok = DB.assign(Var, C);
-      if (Ok && W.violatedCheck(&Support)) {
+      if (Ok && violatedCheck(&Support)) {
         Ok = false;
         if (!Support.empty()) {
           std::vector<SolveLit> Lits;
@@ -223,18 +211,18 @@ private:
         }
       }
       if (!Ok) {
-        ++W.WR.Stats.SolveConflicts;
+        ++WR.Stats.SolveConflicts;
         DB.popLevel();
-        W.RfChoice[Var] = ComboWorker::kNoChoice;
+        RfChoice[Var] = kNoChoice;
         ++CandPos[Depth];
         continue;
       }
       if (Depth + 1 == NR) {
-        W.runAssignment(); // Complete: fixpoint + co + Cat.
-        if (W.shouldStop())
+        runAssignment(); // Complete: fixpoint + co + Cat.
+        if (shouldStop())
           return;
         DB.popLevel();
-        W.RfChoice[Var] = ComboWorker::kNoChoice;
+        RfChoice[Var] = kNoChoice;
         ++CandPos[Depth];
         continue;
       }
@@ -249,55 +237,6 @@ private:
 SimResult telechat::solveExecutions(const SimProgram &Program,
                                     const CatModel &Model,
                                     const SimOptions &Options) {
-  SharedState Shared;
-  Shared.MaxSteps = Options.MaxSteps;
-  Shared.TimeoutSeconds = Options.TimeoutSeconds;
-  Shared.Start = std::chrono::steady_clock::now();
-
-  uint64_t ComboCount = 1;
-  for (const SimThread &T : Program.Threads)
-    ComboCount = satMul(ComboCount, T.Paths.size());
-
-  unsigned Jobs = resolveJobs(Options.Jobs);
-  std::vector<std::unique_ptr<SolveWorker>> Workers;
-
-  if (Jobs <= 1) {
-    Workers.push_back(
-        std::make_unique<SolveWorker>(Program, Model, Options, Shared));
-    SolveWorker &SW = *Workers.front();
-    for (uint64_t C = 0; C != ComboCount && !SW.W.shouldStop(); ++C)
-      SW.processCombo(C, size_t(C));
-  } else {
-    for (unsigned J = 0; J != Jobs; ++J)
-      Workers.push_back(
-          std::make_unique<SolveWorker>(Program, Model, Options, Shared));
-    // One combo = one shard: decision trees are independent, and unlike
-    // the sweep a single combo's tree is not splittable mid-search, so
-    // single-combo tests run sequentially even under -j (the solver's
-    // parallelism is across combos and across campaign units).
-    constexpr uint64_t kWaveCombos = 1 << 18;
-    uint64_t Next = 0;
-    while (Next < ComboCount && !Shared.stopped()) {
-      uint64_t End =
-          Next + std::min<uint64_t>(kWaveCombos, ComboCount - Next);
-      ShardScheduler::run(
-          size_t(End - Next), Jobs,
-          [&](unsigned Wk, size_t I) {
-            Workers[Wk]->processCombo(Next + I, size_t(Next + I));
-          },
-          [&] { return Shared.stopped(); });
-      Next = End;
-    }
-  }
-
-  std::vector<ComboWorker *> Merged;
-  Merged.reserve(Workers.size());
-  for (std::unique_ptr<SolveWorker> &SW : Workers)
-    Merged.push_back(&SW->W);
-  SimResult Result = mergeResults(Merged, Shared, Options);
-  Result.Stats.BackendUsed = uint8_t(SimBackendKind::Solve);
-  auto End = std::chrono::steady_clock::now();
-  Result.Stats.Seconds =
-      std::chrono::duration<double>(End - Shared.Start).count();
-  return Result;
+  return driveCombos<SolveWorker>(Program, Model, Options,
+                                  SimBackendKind::Solve);
 }

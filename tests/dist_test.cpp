@@ -268,33 +268,22 @@ TEST(SerializeTest, SimOptionsBackendRoundTripsAndRejectsHostile) {
 }
 
 TEST(SerializeTest, SimStatsSolverCountersRoundTripAndRejectHostile) {
+  // Every counter gets its own value (a duplicated table entry would
+  // hand one field two values and fail here).
   SimStats S;
-  S.PathCombos = 7;
-  S.RfCandidates = 9;
-  S.SolveDecisions = 11;
-  S.SolvePropagations = 13;
-  S.SolveConflicts = 17;
-  S.SolveClauses = 19;
-  S.ExploreIterations = 23;
-  S.ExploreSchedules = 29;
-  S.ExploreOutcomesFound = 31;
+  for (size_t I = 0; I != std::size(kSimCounters); ++I)
+    S.*kSimCounters[I].Field = 1000 + I;
   S.BackendUsed = uint8_t(SimBackendKind::Solve);
   S.Seconds = 1.5;
   WireBuffer B;
   encodeSimStats(B, S);
+  EXPECT_EQ(B.size(), std::size(kSimCounters) * 8 + 1 + 8);
   WireCursor C(B.data(), B.size());
   SimStats Out;
   ASSERT_TRUE(decodeSimStats(C, Out));
   EXPECT_EQ(C.remaining(), 0u);
-  EXPECT_EQ(Out.PathCombos, 7u);
-  EXPECT_EQ(Out.RfCandidates, 9u);
-  EXPECT_EQ(Out.SolveDecisions, 11u);
-  EXPECT_EQ(Out.SolvePropagations, 13u);
-  EXPECT_EQ(Out.SolveConflicts, 17u);
-  EXPECT_EQ(Out.SolveClauses, 19u);
-  EXPECT_EQ(Out.ExploreIterations, 23u);
-  EXPECT_EQ(Out.ExploreSchedules, 29u);
-  EXPECT_EQ(Out.ExploreOutcomesFound, 31u);
+  for (size_t I = 0; I != std::size(kSimCounters); ++I)
+    EXPECT_EQ(Out.*kSimCounters[I].Field, 1000 + I) << kSimCounters[I].Key;
   EXPECT_EQ(Out.BackendUsed, uint8_t(SimBackendKind::Solve));
   EXPECT_EQ(Out.Seconds, 1.5);
   // BackendUsed sits just before the trailing f64. It is descriptive,
@@ -319,6 +308,99 @@ TEST(SerializeTest, SimStatsSolverCountersRoundTripAndRejectHostile) {
     SimStats Tmp;
     EXPECT_FALSE(decodeSimStats(T, Tmp));
   }
+}
+
+/// A SimStats whose every field holds a distinct value, set field by
+/// field so the golden pins below do not lean on any counter table.
+SimStats distinctSimStats() {
+  SimStats S;
+  S.PathCombos = 0x0101;
+  S.RfCandidates = 0x0202;
+  S.ValueConsistent = 0x0303;
+  S.CoCandidates = 0x0404;
+  S.AllowedExecutions = 0x0505;
+  S.RfSourcesPruned = 0x0606;
+  S.RfSourcesPrunedCopy = 0x0707;
+  S.RfSourcesPrunedXform = 0x0808;
+  S.RfPruned = 0x0909;
+  S.CatEvalsAvoided = 0x0a0a;
+  S.SolveDecisions = 0x0b0b;
+  S.SolvePropagations = 0x0c0c;
+  S.SolveConflicts = 0x0d0d;
+  S.SolveClauses = 0x0e0e;
+  S.ExploreIterations = 0x0f0f;
+  S.ExploreSchedules = 0x1010;
+  S.ExploreOutcomesFound = 0x1111;
+  S.BackendUsed = uint8_t(SimBackendKind::Solve);
+  S.Seconds = 1.5;
+  return S;
+}
+
+std::string hexOf(const WireBuffer &B) {
+  std::string Hex;
+  for (size_t I = 0; I != B.size(); ++I)
+    Hex += strFormat("%02x", B.data()[I]);
+  return Hex;
+}
+
+// Journals and WireVersion depend on the stats field order, and a
+// reordered encoder/decoder pair still round-trips: only fixed bytes
+// catch it.
+TEST(SerializeTest, SimStatsWireBytesArePinned) {
+  WireBuffer B;
+  encodeSimStats(B, distinctSimStats());
+  EXPECT_EQ(hexOf(B), "0101000000000000"  // path_combos
+                      "0202000000000000"  // rf_candidates
+                      "0303000000000000"  // value_consistent
+                      "0404000000000000"  // co_candidates
+                      "0505000000000000"  // allowed_executions
+                      "0606000000000000"  // rf_sources_pruned
+                      "0707000000000000"  // rf_sources_pruned_copy
+                      "0808000000000000"  // rf_sources_pruned_xform
+                      "0909000000000000"  // rf_pruned
+                      "0a0a000000000000"  // cat_evals_avoided
+                      "0b0b000000000000"  // solve_decisions
+                      "0c0c000000000000"  // solve_propagations
+                      "0d0d000000000000"  // solve_conflicts
+                      "0e0e000000000000"  // solve_clauses
+                      "0f0f000000000000"  // explore_iterations
+                      "1010000000000000"  // explore_schedules
+                      "1111000000000000"  // explore_outcomes_found
+                      "01"                // backend used: solve
+                      "000000000000f83f"); // seconds: 1.5
+}
+
+// The campaign JSON's per-side stats object: key names, key order, the
+// literal skel_cache zeros and the backend name's position.
+TEST(CampaignJsonTest, SimSideStatsObjectIsPinned) {
+  TelechatResult R;
+  R.SourceSim.Stats = distinctSimStats();
+  R.TargetSim.Stats = distinctSimStats();
+  R.TargetSim.Stats.BackendUsed = uint8_t(SimBackendKind::Explore);
+  std::vector<CampaignUnitMeta> Units(1);
+  Units[0].TestName = "pin";
+  const char *Stats =
+      "{\"path_combos\": 257, \"rf_candidates\": 514, "
+      "\"value_consistent\": 771, \"co_candidates\": 1028, "
+      "\"allowed_executions\": 1285, \"rf_sources_pruned\": 1542, "
+      "\"rf_sources_pruned_copy\": 1799, "
+      "\"rf_sources_pruned_xform\": 2056, \"rf_pruned\": 2313, "
+      "\"cat_evals_avoided\": 2570, \"skel_cache_hits\": 0, "
+      "\"skel_cache_misses\": 0, \"skel_cache_evictions\": 0, "
+      "\"backend\": \"%s\", \"solve_decisions\": 2827, "
+      "\"solve_propagations\": 3084, \"solve_conflicts\": 3341, "
+      "\"solve_clauses\": 3598, \"explore_iterations\": 3855, "
+      "\"explore_schedules\": 4112, \"explore_outcomes_found\": 4369}";
+  const char *Side = "{\"outcomes\": [], \"flags\": [], "
+                     "\"timed_out\": false, \"stats\": ";
+  EXPECT_EQ(campaignResultsJson(Units, {}, {R}),
+            "{\n  \"units\": 1,\n  \"configs\": [],\n  \"results\": [\n"
+            "    {\"id\": 0, \"test\": \"pin\", \"config\": 0, "
+            "\"verdict\": \"equal\", \"error\": \"\", \"source\": " +
+                std::string(Side) + strFormat(Stats, "solve") +
+                "}, \"target\": " + Side + strFormat(Stats, "explore") +
+                "}, \"witnesses\": [], \"target_flags\": [], "
+                "\"source_race\": false}\n  ]\n}\n");
 }
 
 TEST(SerializeTest, TelechatResultRoundTripsTheCampaignSlice) {
