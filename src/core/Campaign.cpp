@@ -81,55 +81,33 @@ uint64_t GeneratorUnitSource::produced() const {
   return Emitted;
 }
 
+uint64_t CanonClassTable::classify(const CampaignUnit &U,
+                                   CanonRenaming &Ren) {
+  CanonResult CR = canonicalizeTest(U.Test);
+  auto Key = std::make_tuple(U.Config, CR.Key.Hi, CR.Key.Lo, CR.Text);
+  auto [It, IsNew] = Reps.emplace(std::move(Key), U.Id);
+  if (IsNew)
+    RepCanon.emplace(U.Id, std::move(CR));
+  else
+    Ren = composeRenaming(RepCanon.at(It->second), CR);
+  return It->second;
+}
+
 bool DedupingUnitSource::next(CampaignUnit &Out) {
   std::lock_guard<std::mutex> Lock(M);
   CampaignUnit U;
   while (Inner.next(U)) {
-    CanonResult CR = canonicalizeTest(U.Test);
-    auto Key = std::make_tuple(U.Config, CR.Key.Hi, CR.Key.Lo, CR.Text);
-    auto [It, IsNew] = Reps.emplace(std::move(Key), U.Id);
-    if (IsNew) {
-      RepCanon.emplace(U.Id, std::move(CR));
+    Dup D;
+    D.RepId = Classes.classify(U, D.Renaming);
+    if (D.RepId == U.Id) {
       Out = std::move(U);
       return true;
     }
-    Dup D;
     D.Id = U.Id;
-    D.RepId = It->second;
-    D.Renaming = composeRenaming(RepCanon.at(It->second), CR);
     D.Meta = CampaignUnitMeta{U.Test.Name, U.Config};
     Dups.push_back(std::move(D));
   }
   return false;
-}
-
-bool ReplayingUnitSource::next(CampaignUnit &Out) {
-  std::lock_guard<std::mutex> Lock(M);
-  CampaignUnit U;
-  while (Inner.next(U)) {
-    auto It = Replay.find(U.Id);
-    if (It == Replay.end()) {
-      Out = std::move(U);
-      return true;
-    }
-    Applied A;
-    A.Id = U.Id;
-    A.Meta = CampaignUnitMeta{U.Test.Name, U.Config};
-    A.Result = std::move(It->second);
-    Replay.erase(It);
-    Done.push_back(std::move(A));
-  }
-  return false;
-}
-
-uint64_t ReplayingUnitSource::staleReplays() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Replay.size();
-}
-
-void ReplayingUnitSource::forgetReplay(uint64_t Id) {
-  std::lock_guard<std::mutex> Lock(M);
-  Replay.erase(Id);
 }
 
 namespace {

@@ -10,10 +10,12 @@
 /// config), a pull-based *unit source* feeding a pool of executor
 /// threads, and a result sink keyed by the unit id. The id is the unit's
 /// corpus index, so any consumer -- runTelechatMany's slot vector, the
-/// work server's merge -- reassembles results in corpus order and a
+/// campaign ledger that both campaign drivers merge through
+/// (dist/CampaignLedger.h) -- reassembles results in corpus order and a
 /// campaign's merged report is bit-identical no matter how the units
 /// were scheduled, how many pool workers ran them, or which machine
-/// executed which unit.
+/// executed which unit. Canonical classification (CanonClassTable)
+/// lives here too, shared by the ledger and DedupingUnitSource.
 ///
 /// Unit execution always runs the per-test simulations with Sim.Jobs=1:
 /// campaign throughput wants the parallelism *across* units (the
@@ -136,15 +138,35 @@ private:
   uint64_t Planned;
 };
 
-/// Wraps a source and serves only one unit per canonical equivalence
-/// class (litmus/Canon.h) and config: a unit whose test canonicalizes to
-/// a shape an earlier unit of the same config already had is *not*
-/// handed out; it is recorded as a duplicate instead, with the renaming
-/// that translates the representative's outcomes into its vocabulary.
-/// Ids pass through unchanged (the skipped ids simply never appear), so
-/// this wrapper fits the local drivers, which key results by id -- NOT
-/// the work server, whose stream contract is id == position (the server
-/// has its own dedupe, WorkServerOptions::Dedupe).
+/// The canonical classes of a unit stream (litmus/Canon.h), per config:
+/// the first unit of each (config, canonical shape) represents its
+/// class, and every later unit of the class is a duplicate whose result
+/// is the representative's, renamed. The one definition of "duplicate"
+/// that DedupingUnitSource and the campaign ledger
+/// (dist/CampaignLedger.h) share. Not thread-safe.
+class CanonClassTable {
+public:
+  /// Classifies \p U (units arrive in id order). Returns U.Id when \p U
+  /// opens a class; otherwise its representative's (smaller) id, with
+  /// \p Ren set to translate the representative's names into U's.
+  uint64_t classify(const CampaignUnit &U, CanonRenaming &Ren);
+
+private:
+  /// (config, canon key, canon text) -> representative unit id. The
+  /// canonical text rides along so a key collision splits classes
+  /// instead of merging strangers.
+  std::map<std::tuple<uint32_t, uint64_t, uint64_t, std::string>, uint64_t>
+      Reps;
+  std::map<uint64_t, CanonResult> RepCanon; ///< For composeRenaming.
+};
+
+/// Wraps a source and serves only one unit per canonical class
+/// (CanonClassTable): a duplicate is *not* handed out; it is recorded
+/// instead, with the renaming that translates the representative's
+/// outcomes into its vocabulary. Ids pass through unchanged (the
+/// skipped ids simply never appear), so this wrapper fits drivers that
+/// key results by id. Campaigns dedupe through the ledger instead, which
+/// also journals and counts (dist/CampaignLedger.h).
 ///
 /// After the wrapped stream is drained, fill each duplicate's slot from
 /// its representative:
@@ -169,59 +191,10 @@ public:
   const std::vector<Dup> &duplicates() const { return Dups; }
 
 private:
-  mutable std::mutex M;
+  std::mutex M;
   UnitSource &Inner;
-  /// (config, canon key, canon text) -> representative unit id. The
-  /// canonical text rides along so a key collision splits classes
-  /// instead of merging strangers.
-  std::map<std::tuple<uint32_t, uint64_t, uint64_t, std::string>, uint64_t>
-      Reps;
-  std::map<uint64_t, CanonResult> RepCanon; ///< For composeRenaming.
+  CanonClassTable Classes;
   std::vector<Dup> Dups;
-};
-
-/// Wraps a source and answers units from a preloaded result map instead
-/// of handing them out: the UnitSource-side half of journal resume, and
-/// what lets a *local* campaign (no server) resume from a journal. Units
-/// whose id appears in the replay map are consumed silently -- the lane
-/// never sees them, so they are never re-executed -- and recorded with
-/// their meta so the driver can merge the replayed result into its slot.
-/// Ids still ascend through the wrapper (skipped ids simply never reach
-/// the executor), which keeps the id == corpus-position merge intact.
-///
-/// Replay entries whose ids the stream never produced are *stale* (a
-/// journal replayed against the wrong spec); count them after the drain
-/// and report, never merge.
-class ReplayingUnitSource final : public UnitSource {
-public:
-  /// One unit answered from the replay map instead of execution.
-  struct Applied {
-    uint64_t Id = 0;
-    CampaignUnitMeta Meta;
-    TelechatResult Result;
-  };
-
-  ReplayingUnitSource(UnitSource &Inner,
-                      std::map<uint64_t, TelechatResult> Replay)
-      : Inner(Inner), Replay(std::move(Replay)) {}
-  /// Serves the next unit the replay map does not cover. Thread-safe.
-  bool next(CampaignUnit &Out) override;
-  uint64_t sizeHint() const override { return Inner.sizeHint(); }
-  /// Replayed units in stream order. Stable only once the stream is
-  /// drained (every lane's next() returned false).
-  const std::vector<Applied> &applied() const { return Done; }
-  /// Replay entries the stream never matched. Stable once drained.
-  uint64_t staleReplays() const;
-  /// Drops \p Id from the replay map without recording it (a duplicate
-  /// the dedupe layer will answer by renaming: its journaled result is
-  /// already the merged answer, but it must not count as stale).
-  void forgetReplay(uint64_t Id);
-
-private:
-  mutable std::mutex M;
-  UnitSource &Inner;
-  std::map<uint64_t, TelechatResult> Replay;
-  std::vector<Applied> Done;
 };
 
 /// Translates a representative's campaign result into a duplicate's

@@ -8,6 +8,7 @@
 
 #include "core/Campaign.h"
 #include "dist/CampaignJson.h"
+#include "dist/CampaignLedger.h"
 #include "dist/Journal.h"
 #include "dist/WorkServer.h"
 #include "dist/Worker.h"
@@ -22,9 +23,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -178,7 +178,7 @@ void addLeaseServerFlags(FlagTable &T, LeaseServerOptions &O) {
 }
 
 /// The campaign/serve table; only --serve takes the lease-server group
-/// (a local campaign leases nothing).
+/// and --engine-json (a local campaign leases nothing).
 FlagTable campaignFlags(CampaignArgs &A, bool Serve) {
   auto Add = [&A](CorpusSpec::Kind K) {
     return [&A, K](const char *V) {
@@ -222,18 +222,22 @@ FlagTable campaignFlags(CampaignArgs &A, bool Serve) {
             A.Materialise = true;
             return true;
           }}});
-  T.add("campaign (--campaign, --serve)",
-        {cliJobs(A.Jobs, "executor threads (0 = all hardware threads)"),
-         cliString("--campaign-json", "<f>", A.CampaignJsonPath,
-                   "deterministic merged results (byte-equal\n"
-                   "between --campaign and --serve, streamed\n"
-                   "or materialised, resumed or not)"),
-         cliString("--engine-json", "<f>", A.EngineJsonPath,
-                   "throughput/requeue telemetry (--serve)"),
-         cliSwitch("--dedupe", A.ServerOpts.Dedupe, true,
-                   "execute one unit per canonical test\n"
-                   "shape (litmus/Canon.h) and rename its\n"
-                   "result onto the duplicates")});
+  std::vector<CliFlag> Run = {
+      cliJobs(A.Jobs, "executor threads (0 = all hardware threads)"),
+      cliString("--campaign-json", "<f>", A.CampaignJsonPath,
+                "deterministic merged results (byte-equal\n"
+                "between --campaign and --serve, streamed\n"
+                "or materialised, resumed or not)"),
+      cliSwitch("--dedupe", A.ServerOpts.Dedupe, true,
+                "execute one unit per canonical test\n"
+                "shape (litmus/Canon.h) and rename its\n"
+                "result onto the duplicates")};
+  // Only a server has lease telemetry to write.
+  if (Serve)
+    Run.insert(Run.begin() + 2,
+               cliString("--engine-json", "<f>", A.EngineJsonPath,
+                         "throughput/requeue telemetry (--serve)"));
+  T.add("campaign (--campaign, --serve)", std::move(Run));
   T.add("journal (--campaign, --serve)",
         {cliString("--journal", "<f>", A.JournalPath,
                    "append-only campaign journal: spec +\n"
@@ -267,7 +271,8 @@ FlagTable workerFlags(std::string &Host, uint16_t &Port, WorkerOptions &O) {
   T.add("worker (--work)",
         {cliJobs(O.Jobs, "executor threads (0 = all hardware threads)"),
          cliNumber("--batch", "<n>", O.BatchSize, 0, UINT32_MAX,
-                   "units per request (0 = twice the pool)"),
+                   "units per request (0 = twice the pool,\n"
+                   "rounded up to whole tests)"),
          cliNumber("--max-units", "<n>", O.KillAfterResults, 0, UINT64_MAX,
                    "fault drill: drop the connection after\n"
                    "n results"),
@@ -486,61 +491,52 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
     }
   }
 
-  std::vector<CampaignUnitMeta> Meta;
-  std::vector<TelechatResult> Results;
-  uint64_t Deduped = 0;
-
-  std::string ServeError;
-
+  // A journal header needs the spec intact, so only a journal-free
+  // campaign moves the corpus into its source; a journaled one drops the
+  // spec's copy once the header is written.
+  bool CreateJournal = !Cli.JournalPath.empty() && !Cli.Resume;
+  std::unique_ptr<UnitSource> Source =
+      CreateJournal ? Spec.makeSource() : Spec.takeSource();
+  uint64_t Hint = Source->sizeHint();
+  std::optional<WorkServer> Server;
   if (Serve) {
-    bool Streamed = Spec.K == CampaignSourceSpec::Kind::Generator;
-    // A journal header needs the spec intact, so only the journal-free
-    // path can move the corpus into the source; the journaled path
-    // drops its duplicate right after the header is written below.
-    bool CreateJournal = !Cli.JournalPath.empty() && !Cli.Resume;
-    std::unique_ptr<UnitSource> Source =
-        CreateJournal ? Spec.makeSource() : Spec.takeSource();
-    uint64_t Hint = Source->sizeHint();
-    WorkServer Server(std::move(Source), Configs, Cli.ServerOpts);
-    if (!Replay.empty())
-      Server.preloadResults(std::move(Replay));
-    std::string Error = Server.start();
+    Server.emplace(std::move(Source), Configs, Cli.ServerOpts);
+    Server->preloadResults(std::move(Replay));
+    std::string Error = Server->start();
     if (!Error.empty()) {
       fprintf(stderr, "error: %s\n", Error.c_str());
       return 1;
     }
-    if (CreateJournal) {
-      std::string E = Journal.create(Cli.JournalPath, Spec, Configs);
-      if (!E.empty()) {
-        fprintf(stderr, "error: %s\n", E.c_str());
-        return 1;
-      }
-      Spec.Units.clear();
-      Spec.Units.shrink_to_fit();
+  }
+  if (CreateJournal) {
+    std::string E = Journal.create(Cli.JournalPath, Spec, Configs);
+    if (!E.empty()) {
+      fprintf(stderr, "error: %s\n", E.c_str());
+      return 1;
     }
-    if (Journal.isOpen())
-      Server.setJournal(&Journal);
+    Spec.Units.clear();
+    Spec.Units.shrink_to_fit();
+  }
+  JournalWriter *J = Journal.isOpen() ? &Journal : nullptr;
+
+  CampaignReport Report;
+  if (Serve) {
+    Server->setJournal(J);
+    const char *Upto =
+        Spec.K == CampaignSourceSpec::Kind::Generator ? "up to " : "";
     if (SimOnly)
-      printf("serving %s%llu simulation units on %s:%u (model %s)\n",
-             Streamed ? "up to " : "",
+      printf("serving %s%llu simulation units on %s:%u (model %s)\n", Upto,
              static_cast<unsigned long long>(Hint),
-             Cli.ServerOpts.BindAddress.c_str(), unsigned(Server.port()),
+             Cli.ServerOpts.BindAddress.c_str(), unsigned(Server->port()),
              Configs[0].Opts.SourceModel.c_str());
     else
-      printf("serving %s%llu units on %s:%u (%s, model %s)\n",
-             Streamed ? "up to " : "",
+      printf("serving %s%llu units on %s:%u (%s, model %s)\n", Upto,
              static_cast<unsigned long long>(Hint),
-             Cli.ServerOpts.BindAddress.c_str(), unsigned(Server.port()),
+             Cli.ServerOpts.BindAddress.c_str(), unsigned(Server->port()),
              profileList(Configs).c_str(),
              Configs[0].Opts.SourceModel.c_str());
     fflush(stdout);
-    CampaignReport Report = Server.run();
-    ServeError = Report.Error;
-    if (Report.StaleReplays)
-      fprintf(stderr,
-              "warning: %llu journal results matched no unit of the "
-              "campaign spec\n",
-              static_cast<unsigned long long>(Report.StaleReplays));
+    Report = Server->run();
     printf("served: %.2f s, %llu requeues, %llu replayed, %llu deduped, "
            "%zu workers\n",
            Report.Seconds,
@@ -548,77 +544,19 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
            static_cast<unsigned long long>(Report.ReplayedResults),
            static_cast<unsigned long long>(Report.DedupedUnits),
            Report.Workers.size());
-    Deduped = Report.DedupedUnits;
     if (!Cli.EngineJsonPath.empty() &&
         !writeJson(Cli.EngineJsonPath, campaignEngineJson(Report)))
       return 1;
-    Results = std::move(Report.Results);
-    Meta = std::move(Report.UnitsMeta);
   } else {
-    // Local campaign over the pool. The journal is a UnitSource-side
-    // concern here, not a server feature: executed results are appended
-    // (under a lock, before they merge) exactly like the server's
-    // accept path, and resume replays through a ReplayingUnitSource so
-    // journaled units never reach an executor lane. A resumed local
-    // campaign is byte-identical to an uninterrupted one.
-    bool Streamed = Spec.K == CampaignSourceSpec::Kind::Generator;
-    if (!Cli.JournalPath.empty() && !Cli.Resume) {
-      // Created before the corpus moves into its source: the header
-      // needs the spec intact.
-      std::string E = Journal.create(Cli.JournalPath, Spec, Configs);
-      if (!E.empty()) {
-        fprintf(stderr, "error: %s\n", E.c_str());
-        return 1;
-      }
-    }
-    std::map<uint64_t, TelechatResult> ReplayMap;
-    std::set<uint64_t> ReplayedIds; ///< Already journaled: never re-append.
-    for (auto &R : Replay) {
-      ReplayedIds.insert(R.first);
-      ReplayMap.emplace(R.first, std::move(R.second));
-    }
-    Replay.clear();
-
-    std::unique_ptr<GeneratorUnitSource> GenSource;
-    std::unique_ptr<VectorUnitSource> VecSource;
-    if (Streamed) {
-      GenSource =
-          std::make_unique<GeneratorUnitSource>(Spec.Gen, Spec.NumConfigs);
-      Meta.resize(size_t(GenSource->sizeHint()));
-      Results.resize(size_t(GenSource->sizeHint()));
-    } else {
-      Meta = campaignUnitMeta(Spec.Units);
-      Results.resize(Spec.Units.size());
-      VecSource = std::make_unique<VectorUnitSource>(std::move(Spec.Units));
-    }
-    UnitSource &Inner = Streamed ? static_cast<UnitSource &>(*GenSource)
-                                 : *VecSource;
-    DedupingUnitSource Deduper(Inner);
-    UnitSource &Mid =
-        Cli.ServerOpts.Dedupe ? static_cast<UnitSource &>(Deduper) : Inner;
-    ReplayingUnitSource Replayer(Mid, std::move(ReplayMap));
-
-    std::mutex JournalM;
-    auto JournalAppend = [&](uint64_t Id, const TelechatResult &R) {
-      if (!Journal.isOpen())
-        return;
-      std::lock_guard<std::mutex> Lock(JournalM);
-      if (ServeError.empty() && !Journal.appendResult(Id, R))
-        ServeError = "the campaign journal stopped accepting appends; "
-                     "results merged after the fault are not durable";
-    };
-
+    // The same ledger the server's local feed keeps, drained over the
+    // pool: a local campaign replays, dedupes, journals and counts
+    // exactly like a served one.
+    CampaignLedger Ledger(*Source, Cli.ServerOpts.Dedupe, Report);
+    Ledger.setJournal(J);
+    Ledger.preload(std::move(Replay));
     ThreadPool Pool(resolveJobs(Cli.Jobs));
     SourceMemoStats Memo;
-    runCampaignUnits(
-        Replayer, Configs, Pool,
-        [&](const CampaignUnit &U, TelechatResult R) {
-          JournalAppend(U.Id, R);
-          Results[U.Id] = std::move(R);
-          if (Streamed)
-            Meta[U.Id] = CampaignUnitMeta{U.Test.Name, U.Config};
-        },
-        &Memo);
+    runLocalCampaign(Ledger, Configs, Pool, &Memo);
     if (Memo.Keys)
       printf("source memo: %llu source simulations for %llu units "
              "(%llu shared, at most %llu held)\n",
@@ -626,49 +564,23 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
              static_cast<unsigned long long>(Memo.Keys),
              static_cast<unsigned long long>(Memo.Hits),
              static_cast<unsigned long long>(Memo.PeakEntries));
-    if (Streamed) {
-      // The generator may stop short of the plan; the corpus is what it
-      // actually produced.
-      Results.resize(size_t(GenSource->produced()));
-      Meta.resize(size_t(GenSource->produced()));
-    }
-    // Replayed results merge without execution -- and are NOT
-    // re-journaled (their records are already in the file).
-    uint64_t Replayed = 0;
-    for (const ReplayingUnitSource::Applied &A : Replayer.applied()) {
-      Results[A.Id] = A.Result;
-      if (Streamed)
-        Meta[A.Id] = A.Meta;
-      ++Replayed;
-    }
-    // Deduped units never reached an executor: fill their slots from
-    // their representatives (rep id < dup id and reps are always served,
-    // so the rep's slot is set -- executed or replayed).
-    for (const DedupingUnitSource::Dup &D : Deduper.duplicates()) {
-      Results[D.Id] = renameTelechatResult(Results[D.RepId], D.Renaming);
-      if (Streamed)
-        Meta[D.Id] = D.Meta;
-      ++Deduped;
-      // A journaled duplicate never reappears in the stream (the dedupe
-      // layer swallows it); it was answered here, so it is not stale.
-      Replayer.forgetReplay(D.Id);
-      if (!ReplayedIds.count(D.Id))
-        JournalAppend(D.Id, Results[D.Id]);
-    }
-    if (uint64_t Stale = Replayer.staleReplays())
-      fprintf(stderr,
-              "warning: %llu journal results matched no unit of the "
-              "campaign spec\n",
-              static_cast<unsigned long long>(Stale));
     if (Cli.Resume)
       printf("replayed: %llu results merged from the journal without "
              "re-execution\n",
-             static_cast<unsigned long long>(Replayed));
+             static_cast<unsigned long long>(Report.ReplayedResults));
+    if (Cli.ServerOpts.Dedupe)
+      printf("deduped: %llu of %zu units answered by canonical "
+             "representatives\n",
+             static_cast<unsigned long long>(Report.DedupedUnits),
+             Report.Results.size());
   }
-  if (Cli.ServerOpts.Dedupe && !Serve)
-    printf("deduped: %llu of %zu units answered by canonical "
-           "representatives\n",
-           static_cast<unsigned long long>(Deduped), Results.size());
+  if (Report.StaleReplays)
+    fprintf(stderr,
+            "warning: %llu journal results matched no unit of the "
+            "campaign spec\n",
+            static_cast<unsigned long long>(Report.StaleReplays));
+  const std::vector<TelechatResult> &Results = Report.Results;
+  const std::vector<CampaignUnitMeta> &Meta = Report.UnitsMeta;
 
   if (Results.empty()) {
     // Every materialised path refused an empty corpus up front; the
@@ -684,12 +596,12 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
     return 1;
   int Exit = SimOnly ? summariseSim(Meta, Results)
                      : summarisePipeline(Meta, Configs, Results);
-  if (!ServeError.empty()) {
+  if (!Report.Error.empty()) {
     // The merged results above are valid, but the run broke a promise
     // (journal stopped accepting appends, or the source misbehaved):
     // write the artefacts, then fail loudly -- an exit-0 campaign that
     // silently lost its durability would be worse than the fault.
-    fprintf(stderr, "error: %s\n", ServeError.c_str());
+    fprintf(stderr, "error: %s\n", Report.Error.c_str());
     return 1;
   }
   if (Cli.Compact) {

@@ -10,8 +10,9 @@
 // telemetry. What differs by role is a LeaseFeed -- where units come
 // from and where results go:
 //
-//  - WorkServer::Impl, the local feed: the unit stream, the journal, the
-//    merge, and canonical dedupe.
+//  - WorkServer::Impl, the local feed: the unit bodies in flight, over
+//    a CampaignLedger that owns the merge, journal replay, canonical
+//    dedupe and journal-before-merge (the local campaign's ledger too).
 //  - Relay::Impl, the upstream feed: the upstream link riding the poll
 //    loop as an aux fd, the prefetch watermark, the verbatim splice of
 //    unit bytes and the forwarding of result payloads.
@@ -26,12 +27,11 @@
 #include "dist/WorkServer.h"
 
 #include "dist/CampaignJson.h"
-#include "dist/Journal.h"
+#include "dist/CampaignLedger.h"
 #include "dist/Protocol.h"
 #include "dist/Serialize.h"
 #include "dist/Session.h"
 #include "dist/Worker.h"
-#include "litmus/Canon.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -41,7 +41,6 @@
 #include <cstdio>
 #include <map>
 #include <memory>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -85,7 +84,8 @@ struct LeaseFeed {
   /// False = a fatal fault; the result was not taken.
   virtual bool accept(uint64_t Id, const std::vector<uint8_t> &Payload,
                       TelechatResult R) = 0;
-  /// The role's part of the /status document (planned size, and so on).
+  /// The role's part of the /status document: units generated and
+  /// completed, planned size, and so on.
   virtual void status(ServiceStatus &S) const = 0;
   /// Extra fds on the poll loop, and their readiness.
   virtual void collectFds(std::vector<pollfd> &) {}
@@ -121,17 +121,10 @@ public:
   LeaseScheduler Sched;
   SessionHost Host;
   StatusEndpoint Status;
-  /// Units the feed has produced; local ids are [0, Generated).
-  uint64_t Generated = 0;
-  uint64_t CompletedCount = 0;
 
   void log(const char *Fmt, ...) const;
   std::string listen();
   uint16_t statusPort() const { return Status.active() ? Status.port() : 0; }
-  void complete(uint64_t Id) {
-    Sched.markCompleted(Id);
-    ++CompletedCount;
-  }
   /// Serves until the feed stops running, then tells the workers and
   /// hangs up.
   void run();
@@ -368,8 +361,6 @@ bool LeaseServer::onFrame(size_t Slot, const Frame &F) {
 std::string LeaseServer::statusJson() {
   ServiceStatus S;
   S.Role = Role;
-  S.Generated = Generated;
-  S.Completed = CompletedCount;
   S.Pending = Sched.pendingCount();
   S.Leased = Sched.leasedCount();
   S.Requeues = Report.Requeues;
@@ -428,8 +419,10 @@ void LeaseServer::run() {
 //===----------------------------------------------------------------------===//
 
 struct WorkServer::Impl final : LeaseFeed {
-  Impl(std::vector<CampaignConfig> Cfgs, const WorkServerOptions &O)
-      : Configs(std::move(Cfgs)), Dedupe(O.Dedupe),
+  Impl(std::unique_ptr<UnitSource> Src, std::vector<CampaignConfig> Cfgs,
+       const WorkServerOptions &O)
+      : Source(std::move(Src)), Configs(std::move(Cfgs)), Dedupe(O.Dedupe),
+        Ledger(*Source, O.Dedupe, Report),
         Server(*this, Report, O, "server", "serve") {
     // Collected executions are not part of the wire result (Serialize.h);
     // force the option off so the distributed run and a local run of the
@@ -447,45 +440,21 @@ struct WorkServer::Impl final : LeaseFeed {
   std::string CorpusError;
   std::vector<CampaignConfig> Configs;
   bool Dedupe;
-
-  JournalWriter *Journal = nullptr;
-  /// Journal replay pending application: results whose units the stream
-  /// has not produced yet. Applied (and erased) as units are pulled.
-  std::map<uint64_t, TelechatResult> Replay;
-
-  bool Drained = false;
-  /// Bodies of generated-but-uncompleted units (pending or leased);
-  /// erased on completion, so a streamed campaign's memory tracks the
-  /// in-flight window, not the corpus.
+  /// Bodies of pulled-but-uncompleted units (pending or leased); erased
+  /// on completion, so a streamed campaign's memory tracks the in-flight
+  /// window, not the corpus.
   std::map<uint64_t, CampaignUnit> Live;
 
-  // --- Canonical dedupe state (Dedupe; all empty otherwise).
-  /// (config, canon key, canon text) -> representative unit id; the
-  /// canonical text disambiguates hash collisions.
-  std::map<std::tuple<uint32_t, uint64_t, uint64_t, std::string>, uint64_t>
-      CanonReps;
-  /// Representative id -> its canonicalization (composeRenaming input).
-  std::map<uint64_t, CanonResult> RepCanon;
-  /// A duplicate waiting for its representative's result.
-  struct ParkedDup {
-    uint64_t RepId;
-    CanonRenaming Renaming; ///< Rep's names -> the duplicate's names.
-  };
-  std::map<uint64_t, ParkedDup> Parked;
-  /// Representative id -> duplicates to synthesize when it completes.
-  std::map<uint64_t, std::vector<uint64_t>> DupsOf;
-
   CampaignReport Report;
+  CampaignLedger Ledger;
   LeaseServer Server;
 
   /// Planned campaign size: exact for a fixed corpus, the generator's
   /// upper bound for a streamed one (advisory; Done carries the final
   /// count).
   uint64_t planned() const {
-    return Drained ? Server.Generated : Source->sizeHint();
+    return Ledger.drained() ? Ledger.generated() : Source->sizeHint();
   }
-  void complete(uint64_t Id, TelechatResult R, bool FromReplay);
-  bool pullOne();
   std::string start();
   CampaignReport run();
 
@@ -498,151 +467,47 @@ struct WorkServer::Impl final : LeaseFeed {
       encodeCampaignConfig(B, Config);
   }
   void refill(size_t Want) override {
-    while (Server.Sched.pendingCount() < Want && pullOne()) {
+    CampaignUnit U;
+    while (Server.Sched.pendingCount() < Want && Ledger.pull(U)) {
+      Server.Sched.addPending(U.Id);
+      Live.emplace(U.Id, std::move(U));
     }
   }
   void tick() override {
-    // Every generated unit is done but the source may have more: find
-    // out *now*, not at the next GetWork -- the last worker may have
-    // died right after its final result, and waiting for a request that
-    // never comes would hang a finished campaign. (On the first
-    // iteration this also applies a replayed journal prefix, so a
-    // fully-replayed campaign completes with no worker at all.)
-    if (!Drained && Server.CompletedCount == Server.Generated)
+    // Every pulled unit is done but the source may have more: find out
+    // *now*, not at the next GetWork -- the last worker may have died
+    // right after its final result, and waiting for a request that never
+    // comes would hang a finished campaign. (On the first iteration this
+    // also applies a replayed journal prefix, so a fully-replayed
+    // campaign completes with no worker at all.)
+    if (Live.empty())
       refill(1);
   }
-  bool done() const override {
-    return Drained && Server.CompletedCount == Server.Generated;
-  }
-  uint64_t finalCount() const override { return Server.Generated; }
+  bool done() const override { return Ledger.done(); }
+  uint64_t finalCount() const override { return Ledger.generated(); }
   void beforeLease() override;
   void appendUnit(WireBuffer &B, uint64_t Id) override {
     encodeCampaignUnit(B, Live.at(Id));
   }
   bool localId(uint64_t WireId, uint64_t &Id) const override {
     Id = WireId;
-    return WireId < Server.Generated;
+    return WireId < Ledger.generated();
   }
   bool accept(uint64_t Id, const std::vector<uint8_t> &,
               TelechatResult R) override {
-    complete(Id, std::move(R), /*FromReplay=*/false);
+    Ledger.complete(Id, std::move(R));
+    Server.Sched.markCompleted(Id);
+    Live.erase(Id);
     return true;
   }
   void status(ServiceStatus &S) const override {
+    S.Generated = Ledger.generated();
+    S.Completed = Ledger.completed();
     S.Planned = planned();
     S.ReplayedResults = Report.ReplayedResults;
     S.DedupedUnits = Report.DedupedUnits;
   }
 };
-
-void WorkServer::Impl::complete(uint64_t Id, TelechatResult R,
-                                bool FromReplay) {
-  // Journal before merging: a result the journal never saw must not be
-  // merged, or a crash right here would resume without it. Replayed
-  // results are already on disk and are not re-appended.
-  if (!FromReplay && Journal && Journal->isOpen() &&
-      !Journal->appendResult(Id, R)) {
-    Journal->close();
-    if (Report.Error.empty())
-      Report.Error = strFormat("journal append failed at unit %llu; "
-                               "journaling disabled",
-                               static_cast<unsigned long long>(Id));
-    Server.log("%s", Report.Error.c_str());
-  }
-  Report.Results[Id] = std::move(R);
-  Server.complete(Id);
-  Live.erase(Id);
-
-  // The representative's result just landed (by execution or journal
-  // replay): synthesize its parked duplicates. Synthesized results are
-  // journaled like executed ones (the FromReplay=false path above), so a
-  // resume replays them directly instead of re-parking. Depth is one:
-  // duplicates are never representatives.
-  auto D = DupsOf.find(Id);
-  if (D == DupsOf.end())
-    return;
-  std::vector<uint64_t> Dups = std::move(D->second);
-  DupsOf.erase(D);
-  for (uint64_t DupId : Dups) {
-    auto P = Parked.find(DupId);
-    if (P == Parked.end())
-      continue;
-    TelechatResult Renamed =
-        renameTelechatResult(Report.Results[Id], P->second.Renaming);
-    Parked.erase(P);
-    complete(DupId, std::move(Renamed), /*FromReplay=*/false);
-  }
-}
-
-bool WorkServer::Impl::pullOne() {
-  if (Drained)
-    return false;
-  CampaignUnit U;
-  if (!Source->next(U)) {
-    Drained = true;
-    return false;
-  }
-  if (U.Id != Server.Generated) {
-    // The merge (Results, the completion bitmap, the echoed wire id)
-    // indexes the stream position; a source breaking the contract would
-    // scatter results into wrong slots. Abort the stream instead.
-    Drained = true;
-    Report.Error = strFormat(
-        "unit source produced id %llu at stream position %llu; "
-        "WorkServer requires id == position",
-        static_cast<unsigned long long>(U.Id),
-        static_cast<unsigned long long>(Server.Generated));
-    Server.log("%s", Report.Error.c_str());
-    return false;
-  }
-  ++Server.Generated;
-  Report.UnitsMeta.push_back(CampaignUnitMeta{U.Test.Name, U.Config});
-  Report.Results.emplace_back();
-  bool Serve = true;
-  auto R = Replay.find(U.Id);
-  if (R != Replay.end()) {
-    // Already answered by the journal: merge without serving. This runs
-    // *before* dedupe classification, so a duplicate whose synthesized
-    // result was journaled is replayed, never parked or re-served.
-    uint64_t Id = U.Id;
-    TelechatResult Res = std::move(R->second);
-    Replay.erase(R);
-    complete(Id, std::move(Res), /*FromReplay=*/true);
-    ++Report.ReplayedResults;
-    Serve = false;
-  }
-  if (Dedupe) {
-    CanonResult CR = canonicalizeTest(U.Test);
-    auto Key = std::make_tuple(U.Config, CR.Key.Hi, CR.Key.Lo, CR.Text);
-    auto [It, IsNew] = CanonReps.emplace(std::move(Key), U.Id);
-    if (IsNew) {
-      // First of its class: the representative. Replayed units register
-      // too -- their merged result can answer later duplicates.
-      RepCanon.emplace(U.Id, std::move(CR));
-    } else if (Serve) {
-      uint64_t RepId = It->second;
-      CanonRenaming Ren = composeRenaming(RepCanon.at(RepId), CR);
-      ++Report.DedupedUnits;
-      Server.log("unit %llu dedupes to unit %llu",
-                 static_cast<unsigned long long>(U.Id),
-                 static_cast<unsigned long long>(RepId));
-      if (Server.Sched.completed(RepId)) {
-        // Rep already merged (typically a replay): synthesize now.
-        complete(U.Id, renameTelechatResult(Report.Results[RepId], Ren),
-                 /*FromReplay=*/false);
-      } else {
-        Parked.emplace(U.Id, ParkedDup{RepId, std::move(Ren)});
-        DupsOf[RepId].push_back(U.Id);
-      }
-      Serve = false;
-    }
-  }
-  if (Serve) {
-    Server.Sched.addPending(U.Id);
-    Live.emplace(U.Id, std::move(U));
-  }
-  return true;
-}
 
 void WorkServer::Impl::beforeLease() {
   // Canonical-class-aware scheduling: under --dedupe only class
@@ -656,9 +521,7 @@ void WorkServer::Impl::beforeLease() {
     return;
   std::deque<uint64_t> &Pending = Server.Sched.pending();
   std::sort(Pending.begin(), Pending.end(), [this](uint64_t A, uint64_t B) {
-    auto DA = DupsOf.find(A), DB = DupsOf.find(B);
-    size_t NA = DA == DupsOf.end() ? 0 : DA->second.size();
-    size_t NB = DB == DupsOf.end() ? 0 : DB->second.size();
+    size_t NA = Ledger.parkedBehind(A), NB = Ledger.parkedBehind(B);
     if (NA != NB)
       return NA > NB;
     return A < B; // Corpus order within a class-size tier.
@@ -668,24 +531,21 @@ void WorkServer::Impl::beforeLease() {
 std::string WorkServer::Impl::start() {
   if (!CorpusError.empty())
     return CorpusError;
-  if (!Source)
-    return "WorkServer has no unit source";
   return Server.listen();
 }
 
 CampaignReport WorkServer::Impl::run() {
   Server.run();
-  Report.Units = Server.Generated;
-  // Replay entries the stream never produced: a journal replayed against
-  // the wrong spec. They are not merge keys, so they are dropped.
-  Report.StaleReplays = Replay.size();
+  Ledger.finish();
+  if (!Report.Error.empty())
+    Server.log("%s", Report.Error.c_str());
   if (Report.StaleReplays)
     Server.log("%llu replayed results matched no streamed unit "
                "(journal/spec mismatch?)",
                static_cast<unsigned long long>(Report.StaleReplays));
   Server.log("campaign done: %llu units, %llu requeues, %llu duplicates, "
              "%llu replayed, %llu deduped, %llu wakeups",
-             static_cast<unsigned long long>(Server.Generated),
+             static_cast<unsigned long long>(Report.Units),
              static_cast<unsigned long long>(Report.Requeues),
              static_cast<unsigned long long>(Report.DuplicateResults),
              static_cast<unsigned long long>(Report.ReplayedResults),
@@ -696,36 +556,39 @@ CampaignReport WorkServer::Impl::run() {
 
 WorkServer::WorkServer(std::vector<CampaignUnit> Units,
                        std::vector<CampaignConfig> Configs,
-                       WorkServerOptions Options)
-    : P(new Impl(std::move(Configs), Options)) {
-  // The whole merge is keyed on "unit id == corpus position" (the
-  // pending queue, the completion bitmap, Results and the echoed wire id
-  // all index the same stream). Refuse a corpus that breaks the
-  // invariant up front rather than scattering results into wrong slots.
-  for (size_t I = 0; I != Units.size() && P->CorpusError.empty(); ++I)
+                       WorkServerOptions Options) {
+  // The whole merge is keyed on "unit id == corpus position". Refuse a
+  // corpus that breaks the invariant up front rather than serving the
+  // prefix before the first stray id.
+  std::string Error;
+  for (size_t I = 0; I != Units.size() && Error.empty(); ++I)
     if (Units[I].Id != I)
-      P->CorpusError = strFormat(
-          "campaign unit at position %zu has id %llu; WorkServer requires "
-          "id == corpus index",
-          I, static_cast<unsigned long long>(Units[I].Id));
-  P->Source = std::make_unique<VectorUnitSource>(std::move(Units));
+      Error = strFormat("campaign unit at position %zu has id %llu; "
+                        "WorkServer requires id == corpus index",
+                        I, static_cast<unsigned long long>(Units[I].Id));
+  P = new Impl(std::make_unique<VectorUnitSource>(std::move(Units)),
+               std::move(Configs), Options);
+  P->CorpusError = std::move(Error);
 }
 
 WorkServer::WorkServer(std::unique_ptr<UnitSource> Source,
                        std::vector<CampaignConfig> Configs,
-                       WorkServerOptions Options)
-    : P(new Impl(std::move(Configs), Options)) {
-  P->Source = std::move(Source);
+                       WorkServerOptions Options) {
+  bool Missing = !Source;
+  if (Missing)
+    Source = std::make_unique<VectorUnitSource>(std::vector<CampaignUnit>());
+  P = new Impl(std::move(Source), std::move(Configs), Options);
+  if (Missing)
+    P->CorpusError = "WorkServer has no unit source";
 }
 
 WorkServer::~WorkServer() { delete P; }
 
-void WorkServer::setJournal(JournalWriter *J) { P->Journal = J; }
+void WorkServer::setJournal(JournalWriter *J) { P->Ledger.setJournal(J); }
 
 void WorkServer::preloadResults(
     std::vector<std::pair<uint64_t, TelechatResult>> R) {
-  for (auto &[Id, Result] : R)
-    P->Replay.emplace(Id, std::move(Result)); // First occurrence wins.
+  P->Ledger.preload(std::move(R));
 }
 
 std::string WorkServer::start() { return P->start(); }
@@ -767,6 +630,8 @@ struct Relay::Impl final : LeaseFeed {
 
   /// Upstream unit id -> local id (its arrival position here).
   std::map<uint64_t, uint64_t> LocalIdOf;
+  /// Units pulled from upstream; local ids are [0, Generated).
+  uint64_t Generated = 0;
   /// Local id -> the unit's encoded bytes exactly as the upstream Work
   /// frame carried them (wire id included); spliced verbatim into
   /// downstream Work frames.
@@ -802,12 +667,16 @@ struct Relay::Impl final : LeaseFeed {
     // An id the upstream never sent maps to the next, unissued position,
     // which no connection ever leased: refused as "not leased here".
     auto It = LocalIdOf.find(WireId);
-    Id = It == LocalIdOf.end() ? Server.Generated : It->second;
+    Id = It == LocalIdOf.end() ? Generated : It->second;
     return true;
   }
   bool accept(uint64_t Id, const std::vector<uint8_t> &Payload,
               TelechatResult) override;
-  void status(ServiceStatus &S) const override { S.Planned = UpstreamPlanned; }
+  void status(ServiceStatus &S) const override {
+    S.Generated = Generated;
+    S.Completed = Report.ResultsForwarded;
+    S.Planned = UpstreamPlanned;
+  }
   void collectFds(std::vector<pollfd> &Fds) override {
     if (Up.valid())
       Fds.push_back(pollfd{Up.fd(), POLLIN, 0});
@@ -877,17 +746,17 @@ void Relay::Impl::handleUpstreamFrame(const Frame &F) {
       // A unit the upstream re-leases (its lease on this relay expired)
       // keeps its first position: it is already queued, leased or
       // forwarded here.
-      if (!LocalIdOf.emplace(U.Id, Server.Generated).second)
+      if (!LocalIdOf.emplace(U.Id, Generated).second)
         continue;
       size_t Off = F.Payload.size() - Before;
       size_t Len = Before - C.remaining();
-      LiveRaw.emplace(Server.Generated,
+      LiveRaw.emplace(Generated,
                       std::vector<uint8_t>(F.Payload.begin() + Off,
                                            F.Payload.begin() + Off + Len));
-      Server.Sched.addPending(Server.Generated++);
+      Server.Sched.addPending(Generated++);
     }
     Server.log("pulled %u units from upstream (%llu total)", N,
-               static_cast<unsigned long long>(Server.Generated));
+               static_cast<unsigned long long>(Generated));
     return;
   }
   case Msg::Wait: {
@@ -951,7 +820,7 @@ bool Relay::Impl::accept(uint64_t Id, const std::vector<uint8_t> &Payload,
     fatal("upstream disconnected (Result send failed)");
     return false;
   }
-  Server.complete(Id);
+  Server.Sched.markCompleted(Id);
   LiveRaw.erase(Id);
   ++Report.ResultsForwarded;
   return true;
@@ -978,7 +847,7 @@ std::string Relay::Impl::start() {
 RelayReport Relay::Impl::run() {
   Server.run();
   Up.close();
-  Report.UnitsRelayed = Server.Generated;
+  Report.UnitsRelayed = Generated;
   Server.log("relay done: %llu units, %llu results forwarded, %llu "
              "requeues, %llu duplicates, %llu wakeups",
              static_cast<unsigned long long>(Report.UnitsRelayed),

@@ -35,12 +35,15 @@
 /// relay; a dead relay is one dead worker to its upstream. A relay
 /// treats an upstream disconnect before Done as fatal.
 ///
-/// Durability (local feed): with a journal attached (setJournal), every
-/// accepted result is appended and flushed before it is merged;
-/// preloadResults seeds a restarted server with the journal's replayed
-/// results, which merge without being re-served -- the resume path of
-/// docs/DISTRIBUTED.md. A resumed campaign's report is byte-identical
-/// to an uninterrupted run over the same spec.
+/// Durability and dedupe (local feed): the feed pulls units off a
+/// CampaignLedger (CampaignLedger.h), the one the local campaign driver
+/// uses too. With a journal attached (setJournal), every accepted
+/// result is appended and flushed before it is merged; preloadResults
+/// seeds a restarted server with the journal's replayed results, which
+/// merge without being re-served -- the resume path of
+/// docs/DISTRIBUTED.md. A resumed campaign's report, and its replayed,
+/// deduped and stale counts, are the same as a local resume's; its
+/// report is byte-identical to an uninterrupted run over the same spec.
 ///
 /// Threading: a lease server is single-threaded (one poll loop); it is
 /// the *workers* that bring parallelism. run() blocks until the campaign
@@ -159,7 +162,8 @@ struct CampaignReport : LeaseReport {
   uint64_t ReplayedResults = 0;
   /// Units answered by canonical dedupe (Options::Dedupe) instead of
   /// execution this run. Duplicates resumed from a journal count as
-  /// ReplayedResults, not here (their results never needed a rename).
+  /// ReplayedResults, not here (their results never needed a rename);
+  /// the local driver counts the same way (CampaignLedger.h).
   uint64_t DedupedUnits = 0;
   /// Replayed results whose unit ids the stream never produced (a
   /// journal replayed against the wrong spec); dropped from the merge.

@@ -14,6 +14,7 @@
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -75,7 +76,13 @@ telechat::runCampaignWorker(const std::string &Host, uint16_t Port,
             static_cast<unsigned long long>(TotalUnits), Configs.size());
 
   ThreadPool Pool(resolveJobs(Options.Jobs));
-  unsigned Batch = Options.BatchSize ? Options.BatchSize : 2 * Pool.size();
+  // The default batch covers whole tests: a test's configs are adjacent
+  // in the stream, and they share a source simulation only within one
+  // runCampaignUnits call.
+  unsigned Width = std::max<unsigned>(1, unsigned(Configs.size()));
+  unsigned Batch = Options.BatchSize
+                       ? Options.BatchSize
+                       : (2 * Pool.size() + Width - 1) / Width * Width;
   WorkerRunStats Stats;
   std::mutex SendM; // Result frames come from pool threads.
   bool KillTripped = false;

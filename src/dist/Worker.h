@@ -33,7 +33,8 @@ struct WorkerOptions {
   /// Executor pool width (0 = one per hardware thread).
   unsigned Jobs = 0;
   /// Units requested per batch; 0 = 2x the pool width (enough to keep
-  /// every lane busy while the next request is in flight).
+  /// every lane busy while the next request is in flight), rounded up
+  /// to a multiple of the config table so a batch covers whole tests.
   unsigned BatchSize = 0;
   /// Keep re-trying the initial connect for this long (the server of a
   /// two-terminal session may not be listening yet).

@@ -25,6 +25,8 @@ Usage: cli_flags.py <telechat> <litmus-sim> <diy-gen>
 """
 
 import os
+import resource
+import signal
 import struct
 import subprocess
 import sys
@@ -65,6 +67,17 @@ def expect(argv, code, needle=None, absent=None):
         failures.append(label)
         print("  expected exit %d%s; output:\n%s" %
               (code, " and '%s'" % needle if needle else "", out[-800:]))
+
+
+def run_file_capped(argv, limit):
+    """Runs argv with regular-file writes capped at limit bytes: a write
+    past the cap fails with EFBIG (SIGXFSZ is ignored). Pipes are not
+    capped."""
+    def cap():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+    return subprocess.run(argv, capture_output=True, text=True,
+                          timeout=120, preexec_fn=cap)
 
 
 def main():
@@ -240,6 +253,39 @@ def main():
             expect(campaign + [flag, value], 1,
                    "unknown option '%s'" % flag)
         expect(campaign + ["--verbose"], 1, "unknown option '--verbose'")
+        # Engine telemetry is lease telemetry: --serve only.
+        engine_json = os.path.join(tmp, "engine.json")
+        expect(campaign + ["--engine-json", engine_json], 1,
+               "unknown option '--engine-json'")
+        expect(serve + ["--engine-json", engine_json, "--max-steps", "0"],
+               2, "--max-steps expects")
+        # A journal that stops accepting appends: journaling stops, the
+        # campaign JSON is still written in full, and the run exits 1
+        # (not 2, though the classics hold bugs). The file cap admits the
+        # journal header and fails the first result append; the JSON
+        # goes to stdout, a pipe, which the cap does not cover.
+        journal = os.path.join(tmp, "capped.journal")
+        clean_json = os.path.join(tmp, "clean.json")
+        run(camp + ["-j", "2", "--journal", journal,
+                    "--campaign-json", clean_json])
+        with open(journal, "rb") as f:
+            header_bytes = 4 + struct.unpack("<I", f.read(4))[0]
+        os.remove(journal)
+        with open(clean_json) as f:
+            clean = f.read()
+        r = run_file_capped(camp + ["-j", "2", "--journal", journal,
+                                    "--campaign-json", "/dev/stdout"],
+                            header_bytes + 1)
+        ok = (r.returncode == 1 and clean and clean in r.stdout and
+              "journaling disabled" in r.stderr and
+              os.path.getsize(journal) <= header_bytes + 1)
+        print(("ok   " if ok else "FAIL ") +
+              "telechat --campaign --journal <capped file> -> %d" %
+              r.returncode)
+        if not ok:
+            failures.append("journal fault")
+            print("  expected exit 1, the clean JSON and 'journaling "
+                  "disabled'; stderr:\n%s" % r.stderr[-800:])
         expect(serve + ["--bind", "127.0.0.1", "--batch", "3",
                         "--lease-timeout", "5", "--status-port", "0",
                         "--verbose", "--max-steps", "0"], 2,

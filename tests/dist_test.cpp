@@ -14,6 +14,7 @@
 #include "core/Campaign.h"
 #include "core/Telechat.h"
 #include "dist/CampaignJson.h"
+#include "dist/CampaignLedger.h"
 #include "dist/Journal.h"
 #include "dist/Protocol.h"
 #include "dist/Serialize.h"
@@ -39,6 +40,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <thread>
 
 using namespace telechat;
@@ -1739,36 +1741,266 @@ TEST(LeaseSchedulerTest, AdaptiveCapSizesToDeliveryRateAndIsExported) {
 }
 
 //===----------------------------------------------------------------------===//
-// Replaying unit source (journaled local campaigns)
+// Campaign ledger (journal replay, dedupe and journal-before-merge for
+// the local and the served driver)
 //===----------------------------------------------------------------------===//
+
+/// Drains \p Ledger locally at \p Jobs lanes.
+void runLedgerLocally(CampaignLedger &Ledger,
+                      const std::vector<CampaignConfig> &Configs,
+                      unsigned Jobs) {
+  ThreadPool Pool(Jobs);
+  runLocalCampaign(Ledger, Configs, Pool);
+}
+
+/// Runs \p Server's campaign with one two-lane worker.
+CampaignReport serveToOneWorker(WorkServer &Server) {
+  std::string E = Server.start();
+  if (!E.empty()) {
+    ADD_FAILURE() << E;
+    return CampaignReport();
+  }
+  CampaignReport Report;
+  std::thread Srv([&] { Report = Server.run(); });
+  WorkerOptions WOpts;
+  WOpts.Jobs = 2;
+  EXPECT_TRUE(runCampaignWorker("127.0.0.1", Server.port(), WOpts));
+  Srv.join();
+  return Report;
+}
+
+std::string reportJson(const CampaignReport &R,
+                       const std::vector<CampaignConfig> &Configs) {
+  return campaignResultsJson(R.UnitsMeta, Configs, R.Results);
+}
 
 TEST(ReplayingCampaignTest, ReplaysAreConsumedSilentlyAndRecorded) {
   std::vector<LitmusTest> Tests = {classicTest("MP"), classicTest("SB"),
                                    classicTest("LB")};
   std::vector<CampaignUnit> Units = makeCampaignUnits(Tests);
-  std::map<uint64_t, TelechatResult> Replay;
-  Replay[1] = sampleResult();
-  Replay[999] = TelechatResult(); // Stale: no such unit in the stream.
+  std::vector<std::pair<uint64_t, TelechatResult>> Replay;
+  Replay.emplace_back(1, sampleResult());
+  Replay.emplace_back(999, TelechatResult()); // Stale: no such unit.
   VectorUnitSource Inner(Units);
-  ReplayingUnitSource Source(Inner, std::move(Replay));
+  CampaignReport Report;
+  CampaignLedger Ledger(Inner, /*Dedupe=*/false, Report);
+  Ledger.preload(std::move(Replay));
   CampaignUnit U;
   std::vector<uint64_t> Served;
-  while (Source.next(U))
+  while (Ledger.pull(U))
     Served.push_back(U.Id);
   // The replayed unit never reaches the executor...
   EXPECT_EQ(Served, (std::vector<uint64_t>{0, 2}));
   // ...it is recorded with its meta for the id-keyed merge instead.
-  ASSERT_EQ(Source.applied().size(), 1u);
-  EXPECT_EQ(Source.applied()[0].Id, 1u);
-  EXPECT_EQ(Source.applied()[0].Meta.TestName, Units[1].Test.Name);
-  EXPECT_EQ(Source.applied()[0].Result.SourceSim.Allowed,
+  EXPECT_EQ(Report.ReplayedResults, 1u);
+  ASSERT_EQ(Report.UnitsMeta.size(), 3u);
+  EXPECT_EQ(Report.UnitsMeta[1].TestName, Units[1].Test.Name);
+  EXPECT_EQ(Report.Results[1].SourceSim.Allowed,
             sampleResult().SourceSim.Allowed);
-  // The leftover entry is a stale replay (wrong spec's journal) until
-  // the driver accounts for it (dedupe-swallowed duplicates use
-  // forgetReplay the same way).
-  EXPECT_EQ(Source.staleReplays(), 1u);
-  Source.forgetReplay(999);
-  EXPECT_EQ(Source.staleReplays(), 0u);
+  EXPECT_FALSE(Ledger.done()); // Units 0 and 2 still owe results.
+  Ledger.complete(0, TelechatResult());
+  Ledger.complete(2, TelechatResult());
+  EXPECT_TRUE(Ledger.done());
+  // The leftover entry is a stale replay (wrong spec's journal).
+  Ledger.finish();
+  EXPECT_EQ(Report.StaleReplays, 1u);
+  EXPECT_EQ(Report.Units, 3u);
+
+  // Under dedupe, a journaled duplicate is consumed as a replay (not
+  // run, not renamed again) and so is not stale either.
+  std::vector<LitmusTest> DupTests = {classicTest("MP"), classicTest("SB")};
+  DupTests.push_back(renamedDup(DupTests[0], /*SwapThreads=*/false));
+  VectorUnitSource DupInner(makeCampaignUnits(DupTests));
+  CampaignReport DupReport;
+  CampaignLedger Deduper(DupInner, /*Dedupe=*/true, DupReport);
+  std::vector<std::pair<uint64_t, TelechatResult>> DupReplay;
+  DupReplay.emplace_back(2, sampleResult());
+  Deduper.preload(std::move(DupReplay));
+  Served.clear();
+  while (Deduper.pull(U))
+    Served.push_back(U.Id);
+  EXPECT_EQ(Served, (std::vector<uint64_t>{0, 1}));
+  Deduper.finish();
+  EXPECT_EQ(DupReport.ReplayedResults, 1u);
+  EXPECT_EQ(DupReport.DedupedUnits, 0u);
+  EXPECT_EQ(DupReport.StaleReplays, 0u);
+}
+
+TEST(CampaignLedgerTest, LocalAndServedResumesAgreeOnCountsAndBytes) {
+  // A journaled --dedupe campaign over a doubled corpus, cut inside a
+  // record after some duplicates' records, then resumed by both
+  // drivers: same counts, and the uninterrupted run's bytes.
+  // Each duplicate follows the next representative, so a cut leaves
+  // representatives both before and after it.
+  LitmusTest MP = classicTest("MP"), SB = classicTest("SB"),
+             LB = classicTest("LB"), W2 = classicTest("2+2W");
+  std::vector<LitmusTest> Tests = {MP,
+                                   SB,
+                                   renamedDup(MP, /*SwapThreads=*/false),
+                                   LB,
+                                   renamedDup(SB, /*SwapThreads=*/true),
+                                   W2,
+                                   renamedDup(LB, /*SwapThreads=*/false),
+                                   renamedDup(W2, /*SwapThreads=*/true)};
+  std::vector<CampaignConfig> Configs = pipelineConfig();
+  CampaignSourceSpec Spec;
+  Spec.Units = makeCampaignUnits(Tests);
+
+  // One lane: each unit completes before the next is pulled, so records
+  // land in corpus order (a duplicate's representative is always merged
+  // by the time it is pulled).
+  std::string Full = tmpJournalPath("ledger_full");
+  CampaignReport Ref;
+  {
+    JournalWriter W;
+    ASSERT_EQ(W.create(Full, Spec, Configs), "");
+    std::unique_ptr<UnitSource> Source = Spec.makeSource();
+    CampaignLedger Ledger(*Source, /*Dedupe=*/true, Ref);
+    Ledger.setJournal(&W);
+    runLedgerLocally(Ledger, Configs, 1);
+  }
+  ASSERT_TRUE(Ref.Error.empty()) << Ref.Error;
+  EXPECT_EQ(Ref.DedupedUnits, 4u);
+  std::string RefJson = reportJson(Ref, Configs);
+  ErrorOr<JournalContents> Whole = readJournal(Full);
+  ASSERT_TRUE(Whole.hasValue()) << Whole.error();
+  ASSERT_EQ(Whole->Results.size(), Tests.size());
+
+  // Cut a few bytes into the fifth record: units 0-3 survive (2 is a
+  // duplicate), and the reader drops the partial tail.
+  const size_t Kept = 4;
+  std::string KeptPath = tmpJournalPath("ledger_kept");
+  {
+    JournalWriter W;
+    ASSERT_EQ(W.create(KeptPath, Spec, Configs), "");
+    for (size_t I = 0; I != Kept; ++I)
+      ASSERT_TRUE(W.appendResult(Whole->Results[I].first,
+                                 Whole->Results[I].second));
+  }
+  std::filesystem::resize_file(Full,
+                               std::filesystem::file_size(KeptPath) + 5);
+  std::remove(KeptPath.c_str());
+
+  auto Resume = [&](bool Served) {
+    std::string Path = tmpJournalPath(Served ? "ledger_served"
+                                             : "ledger_local");
+    std::filesystem::copy_file(Full, Path);
+    ErrorOr<JournalContents> J = readJournal(Path);
+    CampaignReport R;
+    if (!J) {
+      ADD_FAILURE() << J.error();
+      return R;
+    }
+    EXPECT_TRUE(J->TruncatedTail);
+    std::set<uint64_t> Ids;
+    for (const auto &[Id, Result] : J->Results)
+      Ids.insert(Id);
+    EXPECT_EQ(Ids, (std::set<uint64_t>{0, 1, 2, 3}));
+    JournalWriter W;
+    EXPECT_EQ(W.openAppend(Path, J->ValidBytes), "");
+    if (Served) {
+      WorkServerOptions O;
+      O.Dedupe = true;
+      WorkServer Server(J->Spec.makeSource(), J->Configs, O);
+      Server.setJournal(&W);
+      Server.preloadResults(std::move(J->Results));
+      R = serveToOneWorker(Server);
+    } else {
+      std::unique_ptr<UnitSource> Source = J->Spec.makeSource();
+      CampaignLedger Ledger(*Source, /*Dedupe=*/true, R);
+      Ledger.setJournal(&W);
+      Ledger.preload(std::move(J->Results));
+      runLedgerLocally(Ledger, J->Configs, 2);
+    }
+    W.close();
+    EXPECT_TRUE(R.Error.empty()) << R.Error;
+    // The appended journal covers the whole campaign again.
+    ErrorOr<JournalContents> After = readJournal(Path);
+    EXPECT_TRUE(After && After->Results.size() == Tests.size());
+    std::remove(Path.c_str());
+    return R;
+  };
+  CampaignReport Local = Resume(false);
+  CampaignReport Served = Resume(true);
+  std::remove(Full.c_str());
+
+  // A journaled duplicate counts as replayed; the three whose records
+  // were cut are answered by renaming (unit 7 after 2+2W runs again).
+  EXPECT_EQ(Local.ReplayedResults, Kept);
+  EXPECT_EQ(Local.DedupedUnits, 3u);
+  EXPECT_EQ(Local.StaleReplays, 0u);
+  EXPECT_EQ(Served.ReplayedResults, Local.ReplayedResults);
+  EXPECT_EQ(Served.DedupedUnits, Local.DedupedUnits);
+  EXPECT_EQ(Served.StaleReplays, Local.StaleReplays);
+  EXPECT_EQ(reportJson(Local, Configs), RefJson);
+  EXPECT_EQ(reportJson(Served, Configs), RefJson);
+}
+
+TEST(CampaignLedgerTest, SourceWhoseIdsAreNotPositionsStopsTheStream) {
+  // The merge indexes stream positions: a stray id must end the stream
+  // with an error, never land in a wrong slot.
+  std::vector<LitmusTest> Tests = {classicTest("MP"), classicTest("SB")};
+  std::vector<CampaignUnit> Units = makeCampaignUnits(Tests);
+  Units[1].Id = 7;
+  VectorUnitSource Source(Units);
+  CampaignReport Report;
+  CampaignLedger Ledger(Source, /*Dedupe=*/false, Report);
+  CampaignUnit U;
+  ASSERT_TRUE(Ledger.pull(U));
+  EXPECT_FALSE(Ledger.pull(U));
+  EXPECT_TRUE(Ledger.drained());
+  EXPECT_NE(Report.Error.find("produced id 7 at stream position 1"),
+            std::string::npos)
+      << Report.Error;
+  Ledger.complete(0, TelechatResult());
+  EXPECT_TRUE(Ledger.done());
+  Ledger.finish();
+  EXPECT_EQ(Report.Units, 1u);
+}
+
+TEST(CampaignLedgerTest, JournalFaultStopsJournalingButKeepsTheMerge) {
+  // /dev/full opens for append and refuses every flush, so the first
+  // append fails. Either driver must record the fault once, close the
+  // journal and still merge every result (the CLI then writes its
+  // artefacts and exits 1; tests/cli_flags.py drives that end).
+  std::vector<LitmusTest> Tests = {classicTest("MP"), classicTest("SB")};
+  Tests.push_back(renamedDup(Tests[0], /*SwapThreads=*/true));
+  std::vector<CampaignConfig> Configs = pipelineConfig();
+  std::vector<CampaignUnit> Units = makeCampaignUnits(Tests);
+  CampaignReport Clean;
+  {
+    VectorUnitSource Source(Units);
+    CampaignLedger Ledger(Source, /*Dedupe=*/true, Clean);
+    runLedgerLocally(Ledger, Configs, 2);
+  }
+  ASSERT_TRUE(Clean.Error.empty()) << Clean.Error;
+  for (bool Served : {false, true}) {
+    JournalWriter W;
+    if (!W.openAppend("/dev/full").empty())
+      GTEST_SKIP() << "no /dev/full on this system";
+    CampaignReport R;
+    if (Served) {
+      WorkServerOptions O;
+      O.Dedupe = true;
+      WorkServer Server(Units, Configs, O);
+      Server.setJournal(&W);
+      R = serveToOneWorker(Server);
+    } else {
+      VectorUnitSource Source(Units);
+      CampaignLedger Ledger(Source, /*Dedupe=*/true, R);
+      Ledger.setJournal(&W);
+      runLedgerLocally(Ledger, Configs, 2);
+    }
+    EXPECT_FALSE(W.isOpen()) << "served: " << Served;
+    EXPECT_NE(R.Error.find("journal append failed at unit "),
+              std::string::npos)
+        << R.Error;
+    EXPECT_NE(R.Error.find("journaling disabled"), std::string::npos)
+        << R.Error;
+    EXPECT_EQ(R.DedupedUnits, 1u);
+    EXPECT_EQ(reportJson(R, Configs), reportJson(Clean, Configs))
+        << "served: " << Served;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -2769,22 +3001,47 @@ TEST(SourceMemoTest, SixProfileCampaignMatchesMemoFreeUnits) {
   }
   ErrorOr<JournalContents> J = readJournal(Path);
   ASSERT_TRUE(J.hasValue()) << J.error();
-  std::map<uint64_t, TelechatResult> Replay(J->Results.begin(),
-                                            J->Results.end());
   std::unique_ptr<UnitSource> Inner = J->Spec.makeSource();
-  ReplayingUnitSource Replayer(*Inner, std::move(Replay));
+  CampaignReport Resumed;
+  CampaignLedger Ledger(*Inner, /*Dedupe=*/false, Resumed);
+  Ledger.preload(std::move(J->Results));
   SourceMemoStats Stats;
-  std::vector<TelechatResult> Got =
-      runMemoised(Replayer, J->Configs, 4, Units.size(), Stats);
-  for (const ReplayingUnitSource::Applied &A : Replayer.applied())
-    Got[A.Id] = A.Result;
-  expectMatchesReference(Units, Ref, Got, "resumed");
-  EXPECT_EQ(Replayer.applied().size(), 9u);
+  {
+    ThreadPool Pool(4);
+    runLocalCampaign(Ledger, J->Configs, Pool, &Stats);
+  }
+  expectMatchesReference(Units, Ref, Resumed.Results, "resumed");
+  EXPECT_EQ(Resumed.ReplayedResults, 9u);
   // The first test never ran; the second's entry waits for three
   // units that were replayed instead, until the call returns.
   EXPECT_EQ(Stats.Simulations, Tests.size() - 1);
   EXPECT_EQ(Stats.LeftEntries, 1u);
   std::remove(Path.c_str());
+}
+
+TEST(SourceMemoTest, DefaultWorkerBatchCoversWholeTests) {
+  // A worker's source memo lives for one batch, and a test's configs
+  // are adjacent in the stream. A one-lane worker's default batch
+  // (2 x pool) rounds up to the six-config table: one Work frame per
+  // test, instead of three frames that split each test's configs.
+  std::vector<LitmusTest> Tests = {classicTest("MP"), classicTest("SB"),
+                                   classicTest("LB")};
+  std::vector<CampaignConfig> Configs = sixProfileConfigs();
+  WorkServerOptions SOpts;
+  SOpts.TargetLeaseSeconds = 600; // Keep the adaptive cap out of the way.
+  WorkServer Server(makeCampaignUnits(Tests, uint32_t(Configs.size()), true),
+                    Configs, SOpts);
+  ASSERT_EQ(Server.start(), "");
+  CampaignReport Report;
+  std::thread Srv([&] { Report = Server.run(); });
+  WorkerOptions WOpts;
+  WOpts.Jobs = 1;
+  ErrorOr<WorkerRunStats> Stats =
+      runCampaignWorker("127.0.0.1", Server.port(), WOpts);
+  Srv.join();
+  ASSERT_TRUE(Stats.hasValue()) << Stats.error();
+  EXPECT_EQ(Stats->UnitsCompleted, Tests.size() * Configs.size());
+  EXPECT_EQ(Stats->Batches, Tests.size());
 }
 
 TEST(SourceMemoTest, EachTestIsSimulatedOncePerCampaign) {
